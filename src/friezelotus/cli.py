@@ -350,9 +350,14 @@ def _cmd_partials(args, stdin_text) -> str:
 def _cmd_count(args, stdin_text) -> str:
     n = args.n
     value = count_resolution_graphs(n)
+    try:
+        text = str(value)
+    except ValueError:  # the interpreter's limit on integer-to-string conversion
+        raise ValueError(f"the count for n = {n} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if args.json:
         return _dump({"n": n, "count": value})
-    return f"{value}\n"
+    return f"{text}\n"
 
 
 def _cmd_render(args, stdin_text) -> str:

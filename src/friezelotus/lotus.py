@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .contfrac import Rational
 from .frieze import frieze_from_quiddity
-from .polygon import TriangulatedPolygon, quiddity_of, triangles_of
+from .polygon import TriangulatedPolygon, quiddity_of
 
 Point = tuple[int, int]
 
@@ -81,10 +81,11 @@ class Lotus:
                 raise ValueError(f"petal set is not parent-closed: {p} lacks {parent}")
         if self.petals and BASE_PETAL not in self.petals:
             raise ValueError("a nonempty lotus contains the base petal")
-        boundary = set(lateral_boundary(self).vertices)
-        for mk in self.marks:
-            if mk not in boundary:
-                raise ValueError(f"mark {mk} is not on the lateral boundary")
+        if self.marks:
+            boundary = set(lateral_boundary(self).vertices)
+            for mk in self.marks:
+                if mk not in boundary:
+                    raise ValueError(f"mark {mk} is not on the lateral boundary")
 
     @property
     def is_segment(self) -> bool:
@@ -98,9 +99,6 @@ class Lotus:
 
     def unmarked(self) -> "Lotus":
         return Lotus(self.petals)
-
-    def with_marks(self, marks: Iterable[Point]) -> "Lotus":
-        return Lotus(self.petals, frozenset(marks))
 
 
 @dataclass(frozen=True)
@@ -165,11 +163,7 @@ def is_sublotus(a: Lotus, b: Lotus) -> bool:
 
 def pinching_points(l: Lotus) -> set[Point]:
     """Non-basic vertices incident to exactly one petal."""
-    counts: dict[Point, int] = {}
-    for p in l.petals:
-        for pt in p.points:
-            counts[pt] = counts.get(pt, 0) + 1
-    return {pt for pt, c in counts.items() if c == 1 and pt not in (E1, E2)}
+    return {pt for pt, c in incidence_counts(l).items() if c == 1 and pt not in (E1, E2)}
 
 
 def incidence_counts(l: Lotus) -> dict[Point, int]:
@@ -181,29 +175,19 @@ def incidence_counts(l: Lotus) -> dict[Point, int]:
 
 
 def lateral_boundary(l: Lotus) -> LateralBoundary:
-    """Walk the boundary edges (edges on exactly one petal, the base segment
-    excluded) from (1,0) to (0,1)."""
-    if l.is_segment:
-        return LateralBoundary((E1, E2))
-    edge_count: dict[tuple[Point, Point], int] = {}
-    for p in l.petals:
-        a, b, c = p.points
-        for e in ((a, b), (a, c), (b, c)):
-            key = tuple(sorted(e))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    base = tuple(sorted((E1, E2)))
-    adj: dict[Point, list[Point]] = {}
-    for (a, b), count in edge_count.items():
-        if count == 1 and (a, b) != base:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
+    """In-order walk of the petal tree from (1,0) to (0,1): each petal of
+    the lotus gives way to its two children, and each child outside the
+    lotus is a boundary edge that contributes its far end."""
     chain = [E1]
-    prev = None
-    while chain[-1] != E2:
-        nbrs = [p for p in adj[chain[-1]] if p != prev]
-        assert len(nbrs) == 1, f"lateral boundary is not a chain at {chain[-1]}"
-        prev = chain[-1]
-        chain.append(nbrs[0])
+    stack = [BASE_PETAL]
+    while stack:
+        p = stack.pop()
+        if p in l.petals:
+            low, high = p.children()
+            stack.append(high)
+            stack.append(low)
+        else:
+            chain.append(p.v)
     return LateralBoundary(tuple(chain))
 
 
@@ -222,6 +206,11 @@ def embed_polygon(q: Sequence[int], k: int) -> list[Point]:
     """
     q = tuple(q)
     frieze_from_quiddity(q)  # reject invalid quiddities up front
+    return _embed(q, k)
+
+
+def _embed(q: tuple[int, ...], k: int) -> list[Point]:
+    """The recurrence of embed_polygon, for a quiddity known to be valid."""
     m = len(q)
     verts: list[Point] = [(0, 1), (1, q[k % m])]
     for step in range(1, m - 1):
@@ -239,7 +228,7 @@ def petals_of_embedding(p: TriangulatedPolygon, verts: Sequence[Point],
     starting from polygon vertex k+1, so labels are rotated by k)."""
     m = p.m
     petals = set()
-    for tri in triangles_of(p):
+    for tri in p.triangles:
         pts = [verts[(t - 1 - k) % m] for t in tri]
         petals.add(petal_of_triangle(pts))
     return frozenset(petals)
@@ -261,7 +250,7 @@ def petal_of_triangle(pts: Sequence[Point]) -> Petal:
 def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:
     """Unmarked lotus of the embedded triangulation: polygon vertex k+1 goes
     to (0,1) (see embed_polygon)."""
-    verts = embed_polygon(quiddity_of(p), k)
+    verts = _embed(quiddity_of(p), k)
     return Lotus(petals_of_embedding(p, verts, k))
 
 
@@ -277,19 +266,10 @@ def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
         raise ValueError("the segment lotus has no polygon")
     verts = tuple(reversed(lateral_boundary(l).vertices))
     index = {pt: t + 1 for t, pt in enumerate(verts)}
-    m = len(verts)
-    edge_count: dict[tuple[Point, Point], int] = {}
-    for p in l.petals:
-        a, b, c = p.points
-        for e in ((a, b), (a, c), (b, c)):
-            key = tuple(sorted(e))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    diagonals = set()
-    for (a, b), count in edge_count.items():
-        if count == 2:
-            i, j = sorted((index[a], index[b]))
-            diagonals.add((i, j))
-    return TriangulatedPolygon(m, frozenset(diagonals)), verts
+    # the base edge of every petal but the root is shared with its parent;
+    # the boundary passes u before v, so v has the smaller label
+    diagonals = frozenset((index[p.v], index[p.u]) for p in l.petals if p != BASE_PETAL)
+    return TriangulatedPolygon(len(verts), diagonals), verts
 
 
 def canonical_quiddity(l: Lotus) -> tuple[int, ...]:

@@ -8,38 +8,63 @@ index t holding the count at vertex t+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .contfrac import Rational, hj_evaluate, kidoh_dual
+from .contfrac import hj_evaluate, kidoh_dual
 
 Diagonal = tuple[int, int]
+Triangle = tuple[int, int, int]
 
 MAX_ENUM_VERTICES = 16
 
 
 @dataclass(frozen=True)
 class TriangulatedPolygon:
+    """Triangulation of the m-gon by its inner diagonals.
+
+    Construction validates the diagonals and records ``triangles``, the m-2
+    vertex-sorted triangles in pre-order from the edge [1, m]; every other
+    function reads them rather than deriving them again.
+    """
+
     m: int
     diagonals: frozenset[Diagonal]
+    triangles: tuple[Triangle, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.m < 3:
+        m = self.m
+        if m < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        if len(self.diagonals) != self.m - 3:
-            raise ValueError(f"a triangulated {self.m}-gon has {self.m - 3} diagonals, "
+        if len(self.diagonals) != m - 3:
+            raise ValueError(f"a triangulated {m}-gon has {m - 3} diagonals, "
                              f"got {len(self.diagonals)}")
         for d in self.diagonals:
-            if not _is_inner(d, self.m):
-                raise ValueError(f"{d} is not an inner diagonal of the {self.m}-gon")
-        diags = sorted(self.diagonals)
-        for a in range(len(diags)):
-            for b in range(a + 1, len(diags)):
-                if diagonals_cross(diags[a], diags[b], self.m):
-                    raise ValueError(f"diagonals {diags[a]} and {diags[b]} cross")
-
-    def triangles(self) -> list[tuple[int, int, int]]:
-        return triangles_of(self)
+            if not _is_inner(d, m):
+                raise ValueError(f"{d} is not an inner diagonal of the {m}-gon")
+        # higher[v]: the vertices after v joined to it by an edge or diagonal
+        higher: list[list[int]] = [[v + 1] for v in range(m + 1)]
+        for i, j in self.diagonals:
+            higher[i].append(j)
+        for nbrs in higher:
+            nbrs.sort()
+        # m-3 distinct inner diagonals triangulate the m-gon exactly when
+        # this walk finds a triangle on every chord it reaches
+        out: list[Triangle] = []
+        stack = [(1, m)]
+        while stack:
+            lo, hi = stack.pop()
+            if hi - lo < 2:
+                continue
+            nbrs = higher[lo]
+            k = nbrs[bisect_left(nbrs, hi) - 1]
+            if hi - k > 1 and (k, hi) not in self.diagonals:
+                raise ValueError(f"no triangle on chord ({lo},{hi}); not a triangulation")
+            out.append((lo, k, hi))
+            stack.append((k, hi))
+            stack.append((lo, k))
+        object.__setattr__(self, "triangles", tuple(out))
 
 
 def make_polygon(m: int, diagonals) -> TriangulatedPolygon:
@@ -63,36 +88,10 @@ def diagonals_cross(d1: Diagonal, d2: Diagonal, m: int) -> bool:
     return (i < k < j < l) or (k < i < l < j)
 
 
-def triangles_of(p: TriangulatedPolygon) -> list[tuple[int, int, int]]:
-    """The m-2 triangles of the triangulation, each vertex-sorted."""
-    chords = set(p.diagonals)
-    out: list[tuple[int, int, int]] = []
-
-    def present(a: int, b: int) -> bool:
-        a, b = min(a, b), max(a, b)
-        return b - a == 1 or (a, b) == (1, p.m) or (a, b) in chords
-
-    def split(lo: int, hi: int) -> None:
-        # lo..hi is a sub-polygon whose boundary chord [lo,hi] is an edge or
-        # diagonal; its apex is the unique k strictly inside joined to both.
-        if hi - lo < 2:
-            return
-        for k in range(lo + 1, hi):
-            if present(lo, k) and present(k, hi):
-                out.append((lo, k, hi))
-                split(lo, k)
-                split(k, hi)
-                return
-        raise ValueError(f"no triangle on chord ({lo},{hi}); not a triangulation")
-
-    split(1, p.m)
-    return out
-
-
 def quiddity_of(p: TriangulatedPolygon) -> tuple[int, ...]:
     """Per-vertex incident-triangle counts, read from vertex 1."""
     counts = [0] * p.m
-    for tri in triangles_of(p):
+    for tri in p.triangles:
         for v in tri:
             counts[v - 1] += 1
     return tuple(counts)
@@ -143,25 +142,10 @@ def polygon_of_cf(terms: Sequence[int]) -> TriangulatedPolygon:
     return polygon_from_quiddity(quiddity)
 
 
-def cf_of_polygon(p: TriangulatedPolygon) -> Rational:
-    """Inverse of polygon_of_cf on its image (requires the vertex-1 ear)."""
-    q = quiddity_of(p)
-    if q[0] != 1:
-        raise ValueError("vertex 1 is not an ear")
-    r = q.index(1, 1) - 1
-    return hj_evaluate(q[1:r + 1])
-
-
 def flip(p: TriangulatedPolygon, d: Diagonal) -> TriangulatedPolygon:
     """Replace diagonal d by the opposite diagonal of its quadrilateral."""
-    d = (min(d), max(d))
-    if d not in p.diagonals:
-        raise ValueError(f"{d} is not a diagonal of the triangulation")
-    apexes = [v for tri in triangles_of(p) if d[0] in tri and d[1] in tri
-              for v in tri if v not in d]
-    assert len(apexes) == 2, "inner diagonal must bound two triangles"
-    new = (min(apexes), max(apexes))
-    return TriangulatedPolygon(p.m, (p.diagonals - {d}) | {new})
+    i, j, k, l = flip_quadrilateral(p, d)
+    return TriangulatedPolygon(p.m, (p.diagonals - {(i, j)}) | {(min(k, l), max(k, l))})
 
 
 def flip_quadrilateral(p: TriangulatedPolygon, d: Diagonal) -> tuple[int, int, int, int]:
@@ -170,7 +154,7 @@ def flip_quadrilateral(p: TriangulatedPolygon, d: Diagonal) -> tuple[int, int, i
     d = (min(d), max(d))
     if d not in p.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
-    apexes = [v for tri in triangles_of(p) if d[0] in tri and d[1] in tri
+    apexes = [v for tri in p.triangles if d[0] in tri and d[1] in tri
               for v in tri if v not in d]
     return d[0], d[1], apexes[0], apexes[1]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .frieze import Frieze
@@ -17,8 +18,8 @@ class RenderOptions:
     label_weights: bool = False
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and positive")
 
 
 def _fmt(value: float) -> str:

@@ -15,8 +15,8 @@ from math import comb, gcd
 from typing import Sequence
 
 from .contfrac import Rational
-from .lotus import (E1, E2, BASE_PETAL, Lotus, Petal, incidence_counts,
-                    lateral_boundary, lotus_of_slopes, pinching_points, slope_of)
+from .lotus import (BASE_PETAL, Lotus, Petal, incidence_counts, lateral_boundary,
+                    lotus_of_slopes, pinching_points)
 from .polyparse import Poly2, Term, compact_edges, restrict_to_edge
 
 
@@ -53,7 +53,7 @@ class PlaneCurve:
         for d, c in self.factors:
             if d < 1 or c < 1 or gcd(d, c) != 1:
                 raise ValueError(f"factor exponents must be coprime positives, got {(d, c)}")
-            slopes.add(Fraction(d, c))
+            slopes.add(Rational(d, c))
         if len(slopes) != len(self.factors):
             raise ValueError("factor slopes must be pairwise distinct")
 
@@ -92,7 +92,7 @@ def curve_of_lotus(l: Lotus) -> PlaneCurve:
     if l.is_segment:
         return PlaneCurve(((1, 1),))  # smallest smooth representative x - y
     factors = sorted(((d, c) for c, d in pinching_points(l)),
-                     key=lambda f: Fraction(f[0], f[1]), reverse=True)
+                     key=lambda f: Rational(f[0], f[1]), reverse=True)
     return PlaneCurve(tuple(factors))
 
 
@@ -197,18 +197,17 @@ def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
         parent = p.parent()
         if parent is not None:
             children[parent].append(p)
-
-    def downsets(root: Petal) -> list[frozenset[Petal]]:
-        # all parent-closed subsets of the subtree at root that contain root
-        parts: list[list[frozenset[Petal]]] = []
-        for ch in sorted(children[root]):
-            parts.append([frozenset()] + downsets(ch))
+    # downsets[p]: the parent-closed subsets of the subtree at p that
+    # contain p; a child's apex has the larger coordinate sum, so visiting
+    # petals by decreasing apex sum settles every child before its parent
+    downsets: dict[Petal, list[frozenset[Petal]]] = {}
+    for root in sorted(l.petals, key=lambda p: -sum(p.apex)):
         sets = [frozenset({root})]
-        for part in parts:
+        for ch in sorted(children[root]):
+            part = [frozenset()] + downsets.pop(ch)
             sets = [s | extra for s in sets for extra in part]
-        return sets
+        downsets[root] = sets
 
-    subsets = downsets(BASE_PETAL)
-    out = [(Lotus(s), graph_of_lotus(Lotus(s))) for s in subsets]
+    out = [(sub, graph_of_lotus(sub)) for sub in map(Lotus, downsets[BASE_PETAL])]
     out.sort(key=lambda pair: (-len(pair[0].petals), pair[1].weights))
     return out

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frieze import frieze_of_triangulation
+from .frieze import entry_by_continuant
 from .lotus import Lotus, lotus_of_polygon, petal_of_triangle, polygon_of_lotus
-from .polygon import (Diagonal, TriangulatedPolygon, flip, flip_quadrilateral,
-                      triangles_of)
+from .polygon import Diagonal, TriangulatedPolygon, flip, flip_quadrilateral, quiddity_of
 
 
 @dataclass(frozen=True)
@@ -47,15 +46,16 @@ def reduce(p: TriangulatedPolygon, d: Diagonal) -> ReductionResult:
     if d not in p.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
     i, j = d
-    f = frieze_of_triangulation(p)
-    q = f.quiddity
+    q = quiddity_of(p)
+
+    def value(a: int, b: int) -> int:
+        return entry_by_continuant(q, a, b)
+
     if j < p.m:
-        quiddity = (q[:i - 1]
-                    + (f.entry(i - 2, j - 1), f.entry(i - 1, j))
-                    + q[j:])
+        quiddity = q[:i - 1] + (value(i - 2, j - 1), value(i - 1, j)) + q[j:]
         kept_labels = list(range(1, i + 1)) + list(range(j, p.m + 1))
     else:
-        quiddity = q[:i - 1] + (f.entry(i - 2, p.m - 1), f.entry(0, i - 1))
+        quiddity = q[:i - 1] + (value(i - 2, p.m - 1), value(0, i - 1))
         kept_labels = list(range(1, i + 1)) + [p.m]
     dropped_labels = list(range(i, j + 1))
     kept = _subpolygon(p, kept_labels, d)
@@ -130,9 +130,9 @@ def base_side_petals(l: Lotus, d: Diagonal) -> frozenset:
     # the base side of the quad is bounded by the chord between the two
     # quad vertices enclosing vertex 1/m cyclically; triangles beyond the
     # other chords belong to the far parts
-    quad_tris = {tri for tri in triangles_of(poly) if i in tri and j in tri}
+    quad_tris = {tri for tri in poly.triangles if i in tri and j in tri}
     base_petals = set()
-    for tri in triangles_of(poly):
+    for tri in poly.triangles:
         if tri in quad_tris:
             continue
         lo, hi = _enclosing_side(quad, tri, poly.m)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 from friezelotus.cli import run
 
@@ -43,6 +44,14 @@ def test_count():
     assert run(["count", "3"]) == (0, "3\n")
     assert run(["count", "5"]) == (0, "22\n")
     assert run(["count", "6"]) == (0, "66\n")
+
+
+def test_count_too_large_to_print(capsys):
+    limit = sys.get_int_max_str_digits()
+    for argv in (["count", "100000"], ["count", "100000", "--json"]):
+        assert run(argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err == f"error: the count for n = 100000 has more than {limit} digits\n"
 
 
 def test_partials_running():

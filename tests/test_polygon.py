@@ -5,7 +5,7 @@ import pytest
 from friezelotus.polygon import (TriangulatedPolygon, diagonals_cross,
                                  enumerate_triangulations, flip, make_polygon,
                                  polygon_from_quiddity, polygon_of_cf,
-                                 quiddity_of, triangles_of)
+                                 quiddity_of)
 
 from conftest import catalan_by_recurrence, random_triangulation
 
@@ -159,4 +159,4 @@ def test_polygon_from_quiddity_rejects_garbage():
 def test_triangles_of_counts():
     for m in range(3, 9):
         for t in enumerate_triangulations(m):
-            assert len(triangles_of(t)) == m - 2
+            assert len(t.triangles) == m - 2

@@ -11,8 +11,9 @@ from friezelotus.resolution import ResolutionGraph, graph_of_lotus
 
 
 def test_options_validate():
-    with pytest.raises(ValueError):
-        RenderOptions(scale=0)
+    for scale in (0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            RenderOptions(scale=scale)
 
 
 def test_svg_is_wellformed_xml_with_expected_elements():

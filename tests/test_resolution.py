@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 
 from friezelotus.contfrac import Rational
 from friezelotus.lotus import (BASE_PETAL, Lotus, lateral_boundary,
-                               lotus_of_polygon, lotus_of_slope, lotus_of_slopes)
+                               lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
+                               polygon_of_lotus)
 from friezelotus.frieze import frieze_of_triangulation
 from friezelotus.polygon import enumerate_triangulations, quiddity_of
 from friezelotus.polyparse import parse_poly
@@ -162,6 +165,24 @@ def test_partials_are_sublotuses_with_frieze_entries():
     for sub, g in partial_resolutions(full):
         assert sub.petals <= full.petals
         assert all(-w in values for w in g.weights)
+
+
+def test_deep_lotus_needs_no_deep_stack():
+    # a 301-petal chain: neither the triangle walk nor the downset
+    # enumeration may recurse once per petal
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    lotus = lotus_of_slope(Rational(301, 300))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        q = quiddity_of(polygon_of_lotus(lotus)[0])
+        pairs = partial_resolutions(lotus)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(q) == 303
+    assert len(pairs) == 301
 
 
 def test_partials_of_branching_lotus():
