@@ -34,17 +34,16 @@ class TriangulatedPolygon:
     triangles: tuple[Triangle, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = self.m
-        if m < 3:
+        if self.m < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        if len(self.diagonals) != m - 3:
-            raise ValueError(f"a triangulated {m}-gon has {m - 3} diagonals, "
+        if len(self.diagonals) != self.m - 3:
+            raise ValueError(f"a triangulated {self.m}-gon has {self.m - 3} diagonals, "
                              f"got {len(self.diagonals)}")
         for d in self.diagonals:
-            if not _is_inner(d, m):
-                raise ValueError(f"{d} is not an inner diagonal of the {m}-gon")
+            if not _is_inner(d, self.m):
+                raise ValueError(f"{d} is not an inner diagonal of the {self.m}-gon")
         # higher[v]: the vertices after v joined to it by an edge or diagonal
-        higher: list[list[int]] = [[v + 1] for v in range(m + 1)]
+        higher: list[list[int]] = [[v + 1] for v in range(self.m + 1)]
         for i, j in self.diagonals:
             higher[i].append(j)
         for nbrs in higher:
@@ -52,7 +51,7 @@ class TriangulatedPolygon:
         # m-3 distinct inner diagonals triangulate the m-gon exactly when
         # this walk finds a triangle on every chord it reaches
         out: list[Triangle] = []
-        stack = [(1, m)]
+        stack = [(1, self.m)]
         while stack:
             lo, hi = stack.pop()
             if hi - lo < 2:
