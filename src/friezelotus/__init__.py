@@ -1,14 +1,13 @@
 """Exact combinatorics of friezes, triangulated polygons, lattice lotuses,
 and dual resolution graphs of binomial-product plane curves."""
 
-from .contfrac import (INFINITY, ZERO, KidohDual, Rational, continuant,
-                       hj_evaluate, hj_expand, kidoh_dual)
+from .contfrac import (INFINITY, MAX_VERTICES, ZERO, KidohDual, Rational,
+                       continuant, hj_evaluate, hj_expand, kidoh_dual)
 from .frieze import (Frieze, complete_quiddity, frieze_from_quiddity,
                      frieze_of_triangulation, triangulation_of_frieze)
-from .lotus import (BASE_PETAL, LateralBoundary, Lotus, Petal, embed_polygon,
-                    is_sublotus, lateral_boundary, lotus_of_polygon,
-                    lotus_of_slope, lotus_of_slopes, pinching_points,
-                    polygon_of_lotus)
+from .lotus import (BASE_PETAL, Lotus, Petal, embed_polygon, is_sublotus,
+                    lateral_boundary, lotus_of_polygon, lotus_of_slope,
+                    lotus_of_slopes, pinching_points, polygon_of_lotus)
 from .polygon import (TriangulatedPolygon, diagonals_cross,
                       enumerate_triangulations, flip, make_polygon,
                       polygon_of_cf, quiddity_of)
@@ -22,8 +21,8 @@ from .transform import ReductionResult, mutate_lotus, reduce, reduction_chain
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASE_PETAL", "Frieze", "INFINITY", "KidohDual", "LateralBoundary",
-    "Lotus", "ParseError", "Petal", "PlaneCurve", "Poly2", "Rational",
+    "BASE_PETAL", "Frieze", "INFINITY", "KidohDual", "Lotus",
+    "MAX_VERTICES", "ParseError", "Petal", "PlaneCurve", "Poly2", "Rational",
     "ReductionResult", "RenderOptions", "ResolutionGraph",
     "TriangulatedPolygon", "ZERO", "complete_quiddity", "continuant",
     "count_resolution_graphs", "curve_of_lotus", "diagonals_cross",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .contfrac import Rational, hj_expand, kidoh_dual
@@ -33,7 +33,7 @@ from .render import RenderOptions, render_frieze_text, render_graph_dot, render_
 from .resolution import (ResolutionGraph, count_resolution_graphs,
                          curve_of_lotus, graph_of_lotus, is_newton_nondegenerate,
                          lotus_of_poly, partial_resolutions)
-from .transform import mutate_lotus, reduce as reduce_polygon, reduction_chain
+from .transform import mutate_lotus, reduce as reduce_polygon
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -222,13 +222,28 @@ def lotus_to_json(l: Lotus) -> dict:
 
 
 def lotus_from_json(text: str) -> Lotus:
+    """Decode a lotus document; ``Petal`` and ``Lotus`` check its values."""
     try:
         doc = json.loads(text)
-        petals = frozenset(Petal((u[0], u[1]), (v[0], v[1])) for u, v in doc["petals"])
-        marks = frozenset((pt[0], pt[1]) for pt in doc.get("marks", ()))
-    except (KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad lotus JSON: {exc}") from exc
-    return Lotus(petals, marks)
+    if (type(doc) is not dict or type(doc.get("petals")) is not list
+            or type(doc.get("marks", [])) is not list):
+        raise ValueError('bad lotus JSON: expected {"petals": [...], "marks": [...]}')
+    petals = []
+    for pair in doc["petals"]:
+        if type(pair) is not list or len(pair) != 2:
+            raise ValueError(f"bad lotus JSON: a petal is two points, got {json.dumps(pair)}")
+        petals.append(Petal(_json_point(pair[0]), _json_point(pair[1])))
+    marks = frozenset(map(_json_point, doc.get("marks", [])))
+    return Lotus(frozenset(petals), marks)
+
+
+def _json_point(value) -> tuple[int, int]:
+    # exact types, since bool is a subclass of int
+    if type(value) is not list or len(value) != 2 or any(type(c) is not int for c in value):
+        raise ValueError(f"bad lotus JSON: a point is two integers, got {json.dumps(value)}")
+    return value[0], value[1]
 
 
 def graph_to_json(g: ResolutionGraph) -> dict:

@@ -12,9 +12,13 @@ which also build every frieze entry elsewhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from math import gcd
-from typing import Iterator, Sequence
+
+# Ceiling on a slope's polygon (petal count + 2), checked before anything is
+# built; it is well above every benchmark size and admits the slope 100000/1.
+MAX_VERTICES = 1_000_000
 
 
 class Rational:
@@ -63,17 +67,12 @@ class Rational:
         return hash((self.num, self.den))
 
     def __lt__(self, other: "Rational") -> bool:
-        # cross multiplication; correct for the infinity sentinel as well
+        # cross multiplication, correct for the infinity sentinel as well;
+        # > and >= are these two reflected
         return self.num * other.den < other.num * self.den
 
     def __le__(self, other: "Rational") -> bool:
         return self.num * other.den <= other.num * self.den
-
-    def __gt__(self, other: "Rational") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Rational") -> bool:
-        return other <= self
 
     def __repr__(self) -> str:
         return f"Rational({self.num}, {self.den})"
@@ -111,24 +110,46 @@ def continuant(values: Sequence[int]) -> int:
     return cur
 
 
+def stern_brocot_runs(x: Rational) -> list[int]:
+    """Quotients [a0; a1, ..., a_(2k-1)] of the regular continued fraction
+    of a finite positive x, of even length (a last a > 1 becomes a - 1, 1).
+
+    They are the run lengths of the Stern-Brocot path to x, so x has
+    sum(a) petals and a polygon of sum(a) + 2 vertices; a slope past
+    MAX_VERTICES is rejected here, before anything is built from it.
+    """
+    n, q = x.num, x.den
+    runs = []
+    while q:
+        a, r = divmod(n, q)
+        runs.append(a)
+        n, q = q, r
+    size = sum(runs) + 2
+    if size > MAX_VERTICES:
+        raise ValueError(f"the slope {x} gives a polygon of {size} vertices, "
+                         f"over the limit of {MAX_VERTICES}")
+    if len(runs) % 2:
+        runs[-1:] = [runs[-1] - 1, 1]
+    return runs
+
+
 def hj_expand(x: Rational) -> tuple[int, ...]:
     """Ceiling continued-fraction expansion of a finite positive rational.
 
     All terms are >= 2 when x > 1; for x <= 1 only the first term may be 1.
+    In the Stern-Brocot runs a of x it reads [[a0+1, 2^(a1-1), a2+2,
+    2^(a3-1), ...]], 2^c standing for c terms equal to 2.
     """
     if x.is_infinite:
         raise ValueError("cannot expand the infinite slope")
     if x.is_zero:
         raise ValueError("cannot expand zero")
-    n, q = x.num, x.den
+    runs = stern_brocot_runs(x)
     terms = []
-    while True:
-        b = -(-n // q)  # ceil(n/q)
-        terms.append(b)
-        rem_n, rem_q = b * q - n, q  # b - n/q
-        if rem_n == 0:
-            return tuple(terms)
-        n, q = rem_q, rem_n  # next value is 1/(b - n/q)
+    for t in range(0, len(runs), 2):
+        terms.append(runs[t] + (2 if t else 1))
+        terms += [2] * (runs[t + 1] - 1)
+    return tuple(terms)
 
 
 def hj_evaluate(terms: Sequence[int]) -> Rational:
@@ -150,8 +171,7 @@ def _check_expansion(terms: Sequence[int]) -> None:
         raise ValueError(f"not a valid expansion: {list(terms)}")
 
 
-@dataclass(frozen=True)
-class KidohDual:
+class KidohDual(namedtuple("KidohDual", "c d dual")):
     """Block data (c_i, d_i) linking the expansions of n/q and n/(n-q).
 
     With n/q = [[d1+1, 2^(c1-1), d2+2, 2^(c2-1), ..., dk+2, 2^(ck-1)]] the
@@ -159,71 +179,28 @@ class KidohDual:
     [[2^(d1-1), c1+2, 2^(d2-1), c2+2, ..., 2^(dk-1), ck+1]].
     """
 
-    c: tuple[int, ...]
-    d: tuple[int, ...]
-    dual: tuple[int, ...]
-
-    @property
-    def kappa(self) -> int:
-        return len(self.c)
+    __slots__ = ()
 
     @property
     def polygon_size(self) -> int:
-        """m = sum(b_i) - r + 3 for the primal expansion."""
-        return len(self.dual) + len(_primal_from_blocks(self.c, self.d)) + 2
-
-    @property
-    def s(self) -> int:
-        """Length of the dual expansion; equals m - r - 2."""
-        return len(self.dual)
+        """m = sum(b_i) - r + 3 for the primal expansion = sum(c) + sum(d) + 2."""
+        return sum(self.c) + sum(self.d) + 2
 
 
 def kidoh_dual(x: Rational) -> KidohDual:
-    """Dual expansion of n/(n-q) for x = n/q with n > q > 0."""
+    """Dual expansion of n/(n-q) for x = n/q with n > q > 0.
+
+    The blocks are the Stern-Brocot runs of x: d_j = a_(2j-2), c_j = a_(2j-1).
+    """
     if x.is_infinite or x.is_zero:
         raise ValueError("duality needs a finite positive rational > 1")
     if x.num <= x.den:
         raise ValueError(f"duality needs n > q, got {x}")
-    terms = hj_expand(x)
-    c, d = _kidoh_blocks(terms)
-    dual = _dual_from_blocks(c, d)
-    return KidohDual(c=c, d=d, dual=dual)
-
-
-def _kidoh_blocks(terms: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # terms[0] = d1 + 1; afterwards alternating runs of 2s (length c_j - 1)
-    # separated by entries t >= 3 (t = d_{j+1} + 2).
-    d = [terms[0] - 1]
-    c = []
-    i = 1
-    while True:
-        run = 0
-        while i < len(terms) and terms[i] == 2:
-            run += 1
-            i += 1
-        c.append(run + 1)
-        if i == len(terms):
-            return tuple(c), tuple(d)
-        d.append(terms[i] - 2)
-        i += 1
-
-
-def _dual_from_blocks(c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    k = len(c)
-    for j in range(k):
-        out.extend([2] * (d[j] - 1))
-        out.append(c[j] + 2 if j < k - 1 else c[j] + 1)
-    return tuple(out)
-
-
-def _primal_from_blocks(c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = [d[0] + 1]
-    for j in range(len(c)):
-        if j > 0:
-            out.append(d[j] + 2)
-        out.extend([2] * (c[j] - 1))
-    return tuple(out)
+    runs = stern_brocot_runs(x)
+    c, d = tuple(runs[1::2]), tuple(runs[::2])
+    dual = [t for cj, dj in zip(c, d) for t in [2] * (dj - 1) + [cj + 2]]
+    dual[-1] -= 1  # the last block closes with ck + 1
+    return KidohDual(c, d, tuple(dual))
 
 
 def all_expansions(total: int) -> Iterator[tuple[int, ...]]:

@@ -21,24 +21,41 @@ precisely the interior pairs carrying the value 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 from .contfrac import continuant
 from .polygon import TriangulatedPolygon, polygon_from_quiddity, quiddity_of
 
 
-@dataclass(frozen=True)
 class Frieze:
     """Width m-3 frieze stored as its fundamental domain.
 
     Construct through :func:`frieze_from_quiddity`, which validates the
     diamond rule eagerly; a ``Frieze`` value is always globally consistent.
+    Equality and hash depend on (m, quiddity) only.
     """
 
-    m: int
-    quiddity: tuple[int, ...]
-    entries: dict[tuple[int, int], int] = field(compare=False)
+    __slots__ = ("m", "quiddity", "entries")
+
+    def __init__(self, m: int, quiddity: tuple[int, ...], entries: dict[tuple[int, int], int]):
+        self.m = m
+        self.quiddity = quiddity
+        self.entries = entries
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.quiddity == other.quiddity
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.quiddity))
+
+    @property
+    def __dataclass_fields__(self):
+        # lets dataclasses.replace(frieze, entries=...) build a changed copy,
+        # without this module importing dataclasses at start-up
+        from dataclasses import make_dataclass
+        return make_dataclass("Frieze", self.__slots__).__dataclass_fields__
 
     @property
     def width(self) -> int:
@@ -50,12 +67,6 @@ class Frieze:
         if ri == rj:
             return 0
         return self.entries[(ri, rj) if ri < rj else (rj, ri)]
-
-    def row(self, d: int, start: int = 0, count: int | None = None) -> list[int]:
-        """Entries (i, i+d) for i = start, ..., start+count-1."""
-        if count is None:
-            count = self.m
-        return [self.entry(i, i + d) for i in range(start, start + count)]
 
 
 def frieze_from_quiddity(q: Sequence[int]) -> Frieze:

@@ -13,10 +13,10 @@ petal count) used by the resolution-graph side of this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
-from .contfrac import Rational
+from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
 from .frieze import frieze_from_quiddity
 from .polygon import TriangulatedPolygon, quiddity_of
 
@@ -26,66 +26,80 @@ E1: Point = (1, 0)
 E2: Point = (0, 1)
 
 
-@dataclass(frozen=True, order=True)
-class Petal:
-    """Ordered positive basis (u, v) with det(u, v) = 1; apex is derived."""
+class Petal(namedtuple("Petal", "u v")):
+    """Ordered positive basis (u, v) with det(u, v) = 1; apex is derived.
 
-    u: Point
-    v: Point
+    It hashes, compares and sorts as the pair (u, v).  ``Petal`` checks
+    the basis; code whose petals are valid by construction uses ``_petal``.
+    """
 
-    def __post_init__(self):
-        if min(*self.u, *self.v) < 0 or self.u == (0, 0) or self.v == (0, 0):
+    __slots__ = ()
+
+    def __new__(cls, u: Point, v: Point):
+        self = _petal(u, v)
+        if min(*u, *v) < 0 or u == (0, 0) or v == (0, 0):
             raise ValueError(f"petal basis must be nonzero and nonnegative: {self}")
-        if self.u[0] * self.v[1] - self.u[1] * self.v[0] != 1:
+        if u[0] * v[1] - u[1] * v[0] != 1:
             raise ValueError(f"petal basis must be unimodular and positive: {self}")
+        return self
 
     @property
     def apex(self) -> Point:
-        return (self.u[0] + self.v[0], self.u[1] + self.v[1])
+        u, v = self
+        return (u[0] + v[0], u[1] + v[1])
 
     @property
     def points(self) -> tuple[Point, Point, Point]:
         return (self.u, self.v, self.apex)
 
-    def parent(self) -> "Petal | None":
+    def parent(self) -> Petal | None:
         """The unique petal sharing this petal's base edge, or None at the root."""
-        if (self.u, self.v) == (E1, E2):
+        u, v = self
+        if u == E1 and v == E2:
             return None
-        dx, dy = self.v[0] - self.u[0], self.v[1] - self.u[1]
+        dx, dy = v[0] - u[0], v[1] - u[1]
         if dx >= 0 and dy >= 0:
-            return Petal(self.u, (dx, dy))
-        return Petal((-dx, -dy), self.v)
+            return _petal(u, (dx, dy))
+        return _petal((-dx, -dy), v)
 
-    def children(self) -> tuple["Petal", "Petal"]:
-        return Petal(self.u, self.apex), Petal(self.apex, self.v)
+    def children(self) -> tuple[Petal, Petal]:
+        u, v = self
+        apex = (u[0] + v[0], u[1] + v[1])
+        return _petal(u, apex), _petal(apex, v)
 
 
-BASE_PETAL = Petal(E1, E2)
+def _petal(u: Point, v: Point) -> Petal:
+    """A petal known to be valid, built without the checks."""
+    return tuple.__new__(Petal, (u, v))
 
 
-@dataclass(frozen=True)
-class Lotus:
+BASE_PETAL = _petal(E1, E2)
+
+
+class Lotus(namedtuple("Lotus", "petals marks")):
     """Parent-closed petal set with marked points on the lateral boundary.
 
     The empty petal set models the degenerate lotus that is just the base
-    segment (arising from the slopes 0 and infinity alone).
+    segment (arising from the slopes 0 and infinity alone).  ``Lotus(...)``
+    checks its input; this package's own functions use ``_lotus``.
     """
 
-    petals: frozenset[Petal]
-    marks: frozenset[Point] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in self.petals:
+    def __new__(cls, petals: frozenset[Petal], marks: frozenset[Point] = frozenset()):
+        for p in petals:
             parent = p.parent()
-            if parent is not None and parent not in self.petals:
+            if parent is not None and parent not in petals:
                 raise ValueError(f"petal set is not parent-closed: {p} lacks {parent}")
-        if self.petals and BASE_PETAL not in self.petals:
+        if petals and BASE_PETAL not in petals:
             raise ValueError("a nonempty lotus contains the base petal")
-        if self.marks:
-            boundary = set(lateral_boundary(self).vertices)
-            for mk in self.marks:
+        self = _lotus(petals, marks)
+        if marks:
+            boundary = set(lateral_boundary(self))
+            for mk in marks:
                 if mk not in boundary:
                     raise ValueError(f"mark {mk} is not on the lateral boundary")
+        return self
 
     @property
     def is_segment(self) -> bool:
@@ -97,64 +111,52 @@ class Lotus:
             pts.update(p.points)
         return pts
 
-    def unmarked(self) -> "Lotus":
-        return Lotus(self.petals)
+    def unmarked(self) -> Lotus:
+        return _lotus(self.petals)
 
 
-@dataclass(frozen=True)
-class LateralBoundary:
-    """Boundary vertices in order from (1,0) to (0,1)."""
-
-    vertices: tuple[Point, ...]
-
-    @property
-    def interior(self) -> tuple[Point, ...]:
-        return self.vertices[1:-1]
-
-
-def slope_of(pt: Point) -> Rational:
-    """Slope y/x of a lattice point (infinity on the y-axis)."""
-    if pt[0] == 0:
-        return Rational.infinity()
-    return Rational(pt[1], pt[0])
-
-
-def primitive_of_slope(s: Rational) -> Point:
-    """The primitive lattice vector of a given slope."""
-    if s.is_infinite:
-        return E2
-    return (s.den, s.num)
+def _lotus(petals: frozenset[Petal], marks: frozenset[Point] = frozenset()) -> Lotus:
+    """A lotus known to be valid, built without the checks."""
+    return tuple.__new__(Lotus, (petals, marks))
 
 
 def lotus_of_slope(s: Rational) -> Lotus:
     """Chain of petals meeting the ray of slope ``s``, marked at its tip.
 
-    Descends the petal tree: compare ``s`` with the apex slope, stop on
-    equality (the apex is the primitive vector of ``s``), otherwise enter the
-    child whose cone contains the ray.  Slopes 0 and infinity give the
-    degenerate segment marked at the corresponding basis vector.
+    Follows the Stern-Brocot path down the petal tree, entering the child
+    whose cone contains the ray: the upper one (apex becomes u) for the
+    even runs of ``s``, the lower one (apex becomes v) for the odd runs,
+    and stops at the petal whose apex is the primitive vector of ``s``.
+    Slopes 0 and infinity give the segment marked at E1 or E2.
     """
     if s.is_zero or s.is_infinite:
-        return Lotus(frozenset(), frozenset({primitive_of_slope(s)}))
+        return _lotus(frozenset(), frozenset({E1 if s.is_zero else E2}))
+    runs = stern_brocot_runs(s)
+    runs[-1] -= 1  # the base petal is the first step
+    u, v = E1, E2
     petals = [BASE_PETAL]
-    while True:
-        cur = petals[-1]
-        apex_slope = slope_of(cur.apex)
-        if apex_slope == s:
-            return Lotus(frozenset(petals), frozenset({cur.apex}))
-        low, high = cur.children()
-        petals.append(low if s < apex_slope else high)
+    for t, run in enumerate(runs):
+        for _ in range(run):
+            if t % 2:
+                v = (u[0] + v[0], u[1] + v[1])
+            else:
+                u = (u[0] + v[0], u[1] + v[1])
+            petals.append(_petal(u, v))
+    return _lotus(frozenset(petals), frozenset({(u[0] + v[0], u[1] + v[1])}))
 
 
 def lotus_of_slopes(slopes: Iterable[Rational]) -> Lotus:
-    """Union of the slope lotuses, keeping every mark."""
+    """Union of the slope lotuses, keeping every mark; the union, too, is
+    held to MAX_VERTICES."""
     petals: set[Petal] = set()
     marks: set[Point] = set()
     for s in slopes:
         part = lotus_of_slope(s)
         petals |= part.petals
         marks |= part.marks
-    return Lotus(frozenset(petals), frozenset(marks))
+        if len(petals) + 2 > MAX_VERTICES:
+            raise ValueError(f"the slopes give a polygon of over {MAX_VERTICES} vertices")
+    return _lotus(frozenset(petals), frozenset(marks))
 
 
 def is_sublotus(a: Lotus, b: Lotus) -> bool:
@@ -167,17 +169,17 @@ def pinching_points(l: Lotus) -> set[Point]:
 
 
 def incidence_counts(l: Lotus) -> dict[Point, int]:
-    counts: dict[Point, int] = {pt: 0 for pt in l.vertices()}
+    counts: dict[Point, int] = {E1: 0, E2: 0}
     for p in l.petals:
         for pt in p.points:
-            counts[pt] += 1
+            counts[pt] = counts.get(pt, 0) + 1
     return counts
 
 
-def lateral_boundary(l: Lotus) -> LateralBoundary:
-    """In-order walk of the petal tree from (1,0) to (0,1): each petal of
-    the lotus gives way to its two children, and each child outside the
-    lotus is a boundary edge that contributes its far end."""
+def lateral_boundary(l: Lotus) -> tuple[Point, ...]:
+    """Boundary vertices from (1,0) to (0,1), by an in-order walk of the
+    petal tree: each petal of the lotus gives way to its two children, and
+    each child outside the lotus is a boundary edge adding its far end."""
     chain = [E1]
     stack = [BASE_PETAL]
     while stack:
@@ -188,7 +190,7 @@ def lateral_boundary(l: Lotus) -> LateralBoundary:
             stack.append(low)
         else:
             chain.append(p.v)
-    return LateralBoundary(tuple(chain))
+    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +253,7 @@ def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:
     """Unmarked lotus of the embedded triangulation: polygon vertex k+1 goes
     to (0,1) (see embed_polygon)."""
     verts = _embed(quiddity_of(p), k)
-    return Lotus(petals_of_embedding(p, verts, k))
+    return _lotus(petals_of_embedding(p, verts, k))
 
 
 def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
@@ -264,15 +266,9 @@ def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
     """
     if l.is_segment:
         raise ValueError("the segment lotus has no polygon")
-    verts = tuple(reversed(lateral_boundary(l).vertices))
+    verts = lateral_boundary(l)[::-1]
     index = {pt: t + 1 for t, pt in enumerate(verts)}
     # the base edge of every petal but the root is shared with its parent;
     # the boundary passes u before v, so v has the smaller label
     diagonals = frozenset((index[p.v], index[p.u]) for p in l.petals if p != BASE_PETAL)
     return TriangulatedPolygon(len(verts), diagonals), verts
-
-
-def canonical_quiddity(l: Lotus) -> tuple[int, ...]:
-    """Quiddity of the lotus polygon, read from the vertex at (0,1)."""
-    poly, _ = polygon_of_lotus(l)
-    return quiddity_of(poly)

@@ -9,8 +9,7 @@ index t holding the count at vertex t+1.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .contfrac import hj_evaluate, kidoh_dual
 
@@ -20,20 +19,20 @@ Triangle = tuple[int, int, int]
 MAX_ENUM_VERTICES = 16
 
 
-@dataclass(frozen=True)
 class TriangulatedPolygon:
     """Triangulation of the m-gon by its inner diagonals.
 
     Construction validates the diagonals and records ``triangles``, the m-2
     vertex-sorted triangles in pre-order from the edge [1, m]; every other
-    function reads them rather than deriving them again.
+    function reads them rather than deriving them again.  Equality and hash
+    depend on (m, diagonals) only.
     """
 
-    m: int
-    diagonals: frozenset[Diagonal]
-    triangles: tuple[Triangle, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("m", "diagonals", "triangles")
 
-    def __post_init__(self):
+    def __init__(self, m: int, diagonals: frozenset[Diagonal]):
+        self.m = m
+        self.diagonals = diagonals
         if self.m < 3:
             raise ValueError("a polygon needs at least 3 vertices")
         if len(self.diagonals) != self.m - 3:
@@ -63,7 +62,18 @@ class TriangulatedPolygon:
             out.append((lo, k, hi))
             stack.append((k, hi))
             stack.append((lo, k))
-        object.__setattr__(self, "triangles", tuple(out))
+        self.triangles = tuple(out)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.diagonals == other.diagonals
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.diagonals))
+
+    def __repr__(self) -> str:
+        return f"TriangulatedPolygon(m={self.m!r}, diagonals={self.diagonals!r})"
 
 
 def make_polygon(m: int, diagonals) -> TriangulatedPolygon:

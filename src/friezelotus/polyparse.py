@@ -14,7 +14,6 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 Term = tuple[int, int]
@@ -26,17 +25,17 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
 class Poly2:
     """Sparse polynomial: exponent pair (i, j) -> nonzero coefficient."""
 
-    terms: dict[Term, int]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        if any(c == 0 for c in self.terms.values()):
+    def __init__(self, terms: dict[Term, int]):
+        if any(c == 0 for c in terms.values()):
             raise ValueError("zero coefficients must not be stored")
-        if any(i < 0 or j < 0 for i, j in self.terms):
+        if any(i < 0 or j < 0 for i, j in terms):
             raise ValueError("exponents must be nonnegative")
+        self.terms = terms
 
     @property
     def is_zero(self) -> bool:

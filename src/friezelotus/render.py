@@ -3,23 +3,21 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .frieze import Frieze
 from .lotus import Lotus, incidence_counts, lateral_boundary
 from .resolution import ResolutionGraph
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    scale: float = 40.0
-    show_marks: bool = True
-    show_grid: bool = False
-    label_weights: bool = False
+class RenderOptions(namedtuple("RenderOptions", "scale show_marks show_grid label_weights")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.scale < math.inf:
+    def __new__(cls, scale: float = 40.0, show_marks: bool = True,
+                show_grid: bool = False, label_weights: bool = False):
+        if not 0 < scale < math.inf:
             raise ValueError("scale must be finite and positive")
+        return super().__new__(cls, scale, show_marks, show_grid, label_weights)
 
 
 def _fmt(value: float) -> str:
@@ -58,12 +56,12 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
         lines.append(f'  <polygon points="{corners}" fill="#f5c87a" '
                      f'stroke="#333333" stroke-width="1"/>')
     boundary = lateral_boundary(l)
-    path = " ".join(at(p) for p in boundary.vertices)
+    path = " ".join(at(p) for p in boundary)
     lines.append(f'  <polyline points="{path}" fill="none" stroke="#1f4fd8" '
                  f'stroke-width="3"/>')
     if options.label_weights and not l.is_segment:
         counts = incidence_counts(l)
-        for p in boundary.interior:
+        for p in boundary[1:-1]:
             lines.append(f'  <text x="{_fmt(p[0] * scale + 4)}" '
                          f'y="{_fmt((max_y - p[1]) * scale - 4)}" '
                          f'font-size="{_fmt(scale / 3)}">{-counts[p]}</text>')

@@ -9,19 +9,17 @@ regenerates the lotus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Sequence
 from math import comb, gcd
-from typing import Sequence
 
 from .contfrac import Rational
-from .lotus import (BASE_PETAL, Lotus, Petal, incidence_counts, lateral_boundary,
+from .lotus import (BASE_PETAL, Lotus, Petal, _lotus, incidence_counts, lateral_boundary,
                     lotus_of_slopes, pinching_points)
 from .polyparse import Poly2, Term, compact_edges, restrict_to_edge
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(namedtuple("ResolutionGraph", "weights arrows")):
     """Type-A chain of exceptional curves.
 
     ``weights``: self-intersection numbers in lateral-boundary order from
@@ -29,33 +27,30 @@ class ResolutionGraph:
     arrowhead.
     """
 
-    weights: tuple[int, ...]
-    arrows: frozenset[int] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(w > -1 for w in self.weights):
+    def __new__(cls, weights: tuple[int, ...], arrows: frozenset[int] = frozenset()):
+        if any(w > -1 for w in weights):
             raise ValueError("all self-intersection weights must be <= -1")
-        if any(not 0 <= a < len(self.weights) for a in self.arrows):
+        if any(not 0 <= a < len(weights) for a in arrows):
             raise ValueError("arrow positions must index the weight chain")
-
-    def __len__(self) -> int:
-        return len(self.weights)
+        return super().__new__(cls, weights, arrows)
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(namedtuple("PlaneCurve", "factors")):
     """Product of distinct-slope binomials x^d - y^c, gcd(d, c) = 1."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, factors: tuple[tuple[int, int], ...]):
         slopes = set()
-        for d, c in self.factors:
+        for d, c in factors:
             if d < 1 or c < 1 or gcd(d, c) != 1:
                 raise ValueError(f"factor exponents must be coprime positives, got {(d, c)}")
             slopes.add(Rational(d, c))
-        if len(slopes) != len(self.factors):
+        if len(slopes) != len(factors):
             raise ValueError("factor slopes must be pairwise distinct")
+        return super().__new__(cls, factors)
 
     def polynomial(self) -> Poly2:
         prod = Poly2({(0, 0): 1})
@@ -79,7 +74,7 @@ def graph_of_lotus(l: Lotus) -> ResolutionGraph:
     the marked ones.  Rejects the degenerate segment lotus."""
     if l.is_segment:
         raise ValueError("the segment lotus has no exceptional curves")
-    interior = lateral_boundary(l).interior
+    interior = lateral_boundary(l)[1:-1]
     counts = incidence_counts(l)
     weights = tuple(-counts[pt] for pt in interior)
     arrows = frozenset(t for t, pt in enumerate(interior) if pt in l.marks)
@@ -130,37 +125,39 @@ def is_newton_nondegenerate(f: Poly2) -> bool:
 
 
 def _squarefree(coeffs: Sequence[int]) -> bool:
-    g = [Fraction(c) for c in coeffs]
-    dg = [Fraction(k * c) for k, c in enumerate(coeffs)][1:]
-    return len(_poly_gcd(g, dg)) <= 1
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(a), _trim(b)
+    """True iff the polynomial with these coefficients (constant term first)
+    is coprime to its derivative, by a gcd over the integers through
+    primitive pseudo-remainders (constant iff the gcd over Q is)."""
+    a = _primitive(coeffs)
+    b = _primitive([k * c for k, c in enumerate(coeffs)][1:])
     while b:
-        a, b = b, _trim(_poly_mod(a, b))
-    return a
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return len(a) <= 1
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of lc(b)^(deg a - deg b + 1) * a on division by b.  A step
+    costs O(deg b): lower coefficients take their powers of lc(b) late."""
     r = list(a)
-    while len(r) >= len(b) and any(r):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        q = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        for k in range(len(b)):
-            r[shift + k] -= q * b[k]
-        r.pop()
+    lead, d = b[-1], len(b) - 1
+    power = 1
+    for lo in range(len(r) - 1 - d, -1, -1):
+        top = r.pop()
+        for k in range(d):
+            r[lo + k] = lead * r[lo + k] - top * b[k]
+        power *= lead
+        if lo:
+            r[lo - 1] *= power
     return r
 
 
-def _trim(a: list[Fraction]) -> list[Fraction]:
-    out = list(a)
+def _primitive(p: Sequence[int]) -> list[int]:
+    """``p`` without leading zeros, divided by the gcd of its coefficients."""
+    out = list(p)
     while out and out[-1] == 0:
         out.pop()
-    return out
+    g = gcd(*out)
+    return [c // g for c in out] if g else out
 
 
 def count_resolution_graphs(n: int) -> int:
@@ -208,6 +205,6 @@ def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
             sets = [s | extra for s in sets for extra in part]
         downsets[root] = sets
 
-    out = [(sub, graph_of_lotus(sub)) for sub in map(Lotus, downsets[BASE_PETAL])]
+    out = [(sub, graph_of_lotus(sub)) for sub in map(_lotus, downsets[BASE_PETAL])]
     out.sort(key=lambda pair: (-len(pair[0].petals), pair[1].weights))
     return out

@@ -9,24 +9,21 @@ re-embeds the new triangulation with vertex 1 back at (0,1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .frieze import entry_by_continuant
 from .lotus import Lotus, lotus_of_polygon, petal_of_triangle, polygon_of_lotus
 from .polygon import Diagonal, TriangulatedPolygon, flip, flip_quadrilateral, quiddity_of
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(namedtuple("ReductionResult", "polygon quiddity dropped")):
     """One cut: the base-edge piece, its quiddity, and the severed piece.
 
     The two pieces share the cut diagonal, so their vertex counts add up to
     m + 2.
     """
 
-    polygon: TriangulatedPolygon
-    quiddity: tuple[int, ...]
-    dropped: TriangulatedPolygon
+    __slots__ = ()
 
 
 def reduce(p: TriangulatedPolygon, d: Diagonal) -> ReductionResult:

@@ -2,6 +2,7 @@ import json
 import sys
 
 from friezelotus.cli import run
+from friezelotus.contfrac import MAX_VERTICES
 
 
 def test_hj_running():
@@ -167,3 +168,38 @@ def test_lotus_from_quiddity_input():
 def test_version_flag():
     code, out = run(["--version"])
     assert code == 0
+
+
+def test_lotus_json_shape_is_checked(capsys):
+    expected = {
+        '{"petals": "x"}':
+            'bad lotus JSON: expected {"petals": [...], "marks": [...]}',
+        '{"petals": [[[1,0],[0,true]]]}':
+            "bad lotus JSON: a point is two integers, got [0, true]",
+        '{"petals": [[[1,0],[0,1]]], "marks": [[1, true]]}':
+            "bad lotus JSON: a point is two integers, got [1, true]",
+        '{"petals": [[[1,0],[0,1.0]]]}':
+            "bad lotus JSON: a point is two integers, got [0, 1.0]",
+        '{"petals": [[[1,0],[0,1,2]]]}':
+            "bad lotus JSON: a point is two integers, got [0, 1, 2]",
+        '{"petals": [[[1,0]]]}':
+            "bad lotus JSON: a petal is two points, got [[1, 0]]",
+        '{"petals": [], "marks": 3}':
+            'bad lotus JSON: expected {"petals": [...], "marks": [...]}',
+        '[]': 'bad lotus JSON: expected {"petals": [...], "marks": [...]}',
+    }
+    for text, message in expected.items():
+        assert run(["lotus", "--stdin", "--json"], stdin_text=text) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_output_ceiling_rejects_before_building(capsys):
+    big = f"{2 ** 200 + 1}/{2 ** 199 + 3}"
+    for argv, slope in ((["hj", big], big), (["frieze", "--rational", big], big),
+                        (["lotus", "--rational", "2000000/1"], "2000000/1"),
+                        (["lotus", "--poly", "x^10000000-y"], "10000000/1")):
+        assert run(argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the slope {slope} gives a polygon of ")
+        assert err.endswith(f" vertices, over the limit of {MAX_VERTICES}\n")
+        assert err.count("\n") == 1

@@ -3,8 +3,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from friezelotus.contfrac import (INFINITY, Rational, continuant, hj_evaluate,
-                                  hj_expand, kidoh_dual)
+from friezelotus.contfrac import (INFINITY, MAX_VERTICES, Rational, continuant,
+                                  hj_evaluate, hj_expand, kidoh_dual,
+                                  stern_brocot_runs)
 from friezelotus.polygon import polygon_of_cf, quiddity_of
 
 from conftest import coprime_pairs, tridiagonal_determinant
@@ -89,7 +90,7 @@ def test_kidoh_running_example():
     assert kd.c == (2, 2)
     assert kd.d == (1, 1)
     assert kd.dual == (4, 3)
-    assert kd.kappa == 2
+    assert len(kd.c) == 2
 
 
 def test_kidoh_fan_example():
@@ -129,10 +130,10 @@ def test_kidoh_quiddity_matches_polygon_recount():
 def test_kidoh_sizes():
     kd = kidoh_dual(Rational(11, 8))
     assert kd.polygon_size == 8
-    assert kd.s == 2
+    assert len(kd.dual) == 2
     kd = kidoh_dual(Rational(6, 1))
     assert kd.polygon_size == 8
-    assert kd.s == 5
+    assert len(kd.dual) == 5
 
 
 def test_roundtrip_below_one():
@@ -141,3 +142,21 @@ def test_roundtrip_below_one():
         terms = hj_expand(x)
         assert terms[0] == 1 and all(b >= 2 for b in terms[1:])
         assert hj_evaluate(terms) == x
+
+
+def test_stern_brocot_runs():
+    assert stern_brocot_runs(Rational(11, 8)) == [1, 2, 1, 2]
+    assert stern_brocot_runs(Rational(2, 3)) == [0, 1, 1, 1]
+    assert stern_brocot_runs(Rational(1, 1)) == [0, 1]
+    assert stern_brocot_runs(Rational(6, 1)) == [5, 1]
+
+
+def test_polygon_size_ceiling():
+    # the slope k/1 has k petals and a (k+2)-gon
+    assert stern_brocot_runs(Rational(MAX_VERTICES - 2)) == [MAX_VERTICES - 3, 1]
+    for x in (Rational(MAX_VERTICES - 1), Rational(1, MAX_VERTICES - 1),
+              Rational(2 ** 200 + 1, 2 ** 199 + 3)):
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_VERTICES}$"):
+            hj_expand(x)
+    with pytest.raises(ValueError, match="over the limit"):
+        kidoh_dual(Rational(2 ** 200 + 1, 2 ** 199 + 3))

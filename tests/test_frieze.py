@@ -51,9 +51,9 @@ def test_fountain_frieze_rows():
     f = frieze_from_quiddity((6, 1, 2, 2, 2, 2, 2, 1))
     assert max(f.entries.values()) == 6
     # cyclic content of the printed rows
-    assert f.row(2) == [1, 2, 2, 2, 2, 2, 1, 6]
-    assert f.row(3) == [1, 3, 3, 3, 3, 1, 5, 5]
-    assert f.row(4) == [1, 4, 4, 4, 1, 4, 4, 4]
+    assert [f.entry(i, i + 2) for i in range(f.m)] == [1, 2, 2, 2, 2, 2, 1, 6]
+    assert [f.entry(i, i + 3) for i in range(f.m)] == [1, 3, 3, 3, 3, 1, 5, 5]
+    assert [f.entry(i, i + 4) for i in range(f.m)] == [1, 4, 4, 4, 1, 4, 4, 4]
 
 
 def test_rejects_non_quiddity_with_diamond_diagnostic():

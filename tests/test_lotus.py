@@ -1,8 +1,10 @@
+from math import gcd
+
 import pytest
 
 from friezelotus.contfrac import INFINITY, Rational, hj_expand, kidoh_dual
 from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal,
-                               canonical_quiddity, embed_polygon, is_sublotus,
+                               embed_polygon, is_sublotus,
                                lateral_boundary, lotus_of_polygon,
                                lotus_of_slope, lotus_of_slopes,
                                petals_of_embedding, pinching_points,
@@ -120,17 +122,17 @@ def test_embedding_matches_frieze_diagonals():
 
 def test_lateral_boundary_3_2():
     l = lotus_of_slope(Rational(3, 2))
-    assert lateral_boundary(l).vertices == ((1, 0), (1, 1), (2, 3), (1, 2), (0, 1))
+    assert lateral_boundary(l) == ((1, 0), (1, 1), (2, 3), (1, 2), (0, 1))
 
 
 def test_lateral_boundary_base_petal():
-    assert lateral_boundary(Lotus(frozenset({BASE_PETAL}))).vertices == (
+    assert lateral_boundary(Lotus(frozenset({BASE_PETAL}))) == (
         (1, 0), (1, 1), (0, 1))
 
 
 def test_lateral_boundary_11_8():
     l = lotus_of_slope(Rational(11, 8))
-    assert lateral_boundary(l).vertices == (
+    assert lateral_boundary(l) == (
         (1, 0), (1, 1), (3, 4), (8, 11), (5, 7), (2, 3), (1, 2), (0, 1))
 
 
@@ -153,7 +155,8 @@ def test_quiddity_agreement_with_duality():
         terms = hj_expand(Rational(n, q))
         dual = kidoh_dual(Rational(n, q)).dual
         expected = terms + (1,) + tuple(reversed(dual)) + (1,)
-        assert canonical_quiddity(lotus_of_slope(Rational(n, q))) == expected
+        poly, _ = polygon_of_lotus(lotus_of_slope(Rational(n, q)))
+        assert quiddity_of(poly) == expected
 
 
 def test_is_sublotus():
@@ -185,14 +188,77 @@ def test_embedding_roundtrip_all_small_triangulations():
 
 def test_every_anchor_embeds_as_a_lotus():
     # each anchor produces a parent-closed petal set with one petal per
-    # triangle (Lotus construction enforces closure and unimodularity)
+    # triangle (lotus_of_polygon skips the checks, so the public
+    # constructor re-checks closure here)
     for m in range(3, 8):
         for t in enumerate_triangulations(m):
             for k in range(m):
                 l = lotus_of_polygon(t, k)
                 assert len(l.petals) == m - 2
+                assert Lotus(l.petals) == l
 
 
 def test_marks_must_lie_on_boundary():
     with pytest.raises(ValueError):
         Lotus(frozenset({BASE_PETAL}), frozenset({(5, 5)}))
+
+
+def descent(n, q):
+    """Petals and tip of the slope n/q by the petal-tree descent the
+    Stern-Brocot walk replaced: compare n/q with each apex slope by cross
+    multiplication, enter the child whose cone holds the ray, and stop at
+    the apex (q, n)."""
+    u, v = E1, E2
+    petals = {(u, v)}
+    while (u[0] + v[0], u[1] + v[1]) != (q, n):
+        apex = (u[0] + v[0], u[1] + v[1])
+        if n * apex[0] < apex[1] * q:
+            v = apex
+        else:
+            u = apex
+        petals.add((u, v))
+    return petals, (q, n)
+
+
+def test_stern_brocot_walk_matches_the_descent():
+    fib = [0, 1]
+    while len(fib) < 103:
+        fib.append(fib[-1] + fib[-2])
+    slopes = [(n, q) for n in range(1, 60) for q in range(1, 60) if gcd(n, q) == 1]
+    slopes += [(fib[k + 2], fib[k]) for k in range(1, 101)]
+    for n, q in slopes:
+        l = lotus_of_slope(Rational(n, q))
+        petals, tip = descent(n, q)
+        assert {(p.u, p.v) for p in l.petals} == petals
+        assert l.marks == frozenset({tip})
+
+
+def test_petals_behave_as_their_pairs():
+    # repr, hash, order and set iteration are those of the (u, v) pairs,
+    # which is what keeps the CLI output byte for byte
+    l = lotus_of_slopes([Rational(11, 8), Rational(2, 5), Rational(7, 3)])
+    petals = list(l.petals)
+    pairs = [(p.u, p.v) for p in petals]
+    for p, (u, v) in zip(petals, pairs):
+        assert repr(p) == f"Petal(u={u!r}, v={v!r})"
+        assert hash(p) == hash((u, v))
+    assert [(p.u, p.v) for p in sorted(petals)] == sorted(pairs)
+    assert [(p.u, p.v) for p in frozenset(petals)] == list(frozenset(pairs))
+
+
+def test_unchecked_constructions_give_valid_lotuses():
+    # the public constructors re-check what the package's own functions skip
+    for n, q in coprime_pairs(20):
+        l = lotus_of_slope(Rational(n, q))
+        assert Lotus(l.petals, l.marks) == l
+        for p in l.petals:
+            assert Petal(p.u, p.v) == p
+
+
+def test_union_of_slopes_is_held_to_the_ceiling(monkeypatch):
+    # each slope alone passes the ceiling; their union must not
+    import friezelotus.lotus as lotus_module
+    monkeypatch.setattr(lotus_module, "MAX_VERTICES", 100)
+    assert len(lotus_of_slopes([Rational(60), Rational(1, 37)]).petals) == 96
+    with pytest.raises(ValueError, match="^the slopes give a polygon of over 100 vertices$"):
+        lotus_of_slopes([Rational(60), Rational(1, 60)])

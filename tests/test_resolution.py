@@ -1,6 +1,8 @@
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from friezelotus.contfrac import Rational
 from friezelotus.lotus import (BASE_PETAL, Lotus, lateral_boundary,
@@ -9,7 +11,7 @@ from friezelotus.lotus import (BASE_PETAL, Lotus, lateral_boundary,
 from friezelotus.frieze import frieze_of_triangulation
 from friezelotus.polygon import enumerate_triangulations, quiddity_of
 from friezelotus.polyparse import parse_poly
-from friezelotus.resolution import (PlaneCurve, ResolutionGraph, catalan,
+from friezelotus.resolution import (PlaneCurve, ResolutionGraph, _squarefree, catalan,
                                     count_resolution_graphs, curve_of_lotus,
                                     graph_of_lotus, is_newton_nondegenerate,
                                     lotus_of_poly, newton_fan,
@@ -226,4 +228,53 @@ def test_weight_sum_counts_incidences():
 def test_boundary_vertex_count():
     for n, q in coprime_pairs(20):
         l = lotus_of_slope(Rational(n, q))
-        assert len(lateral_boundary(l).vertices) == len(l.petals) + 2
+        assert len(lateral_boundary(l)) == len(l.petals) + 2
+
+
+def squarefree_over_q(coeffs):
+    """gcd(g, g') by Euclid over the rationals; g is square-free iff it is
+    constant."""
+    def trim(a):
+        a = list(a)
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    a = trim(Fraction(c) for c in coeffs)
+    b = trim(Fraction(k * c) for k, c in enumerate(coeffs))[1:]
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            factor = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for k in range(len(b)):
+                r[shift + k] -= factor * b[k]
+            r = trim(r)
+        a, b = b, r
+    return len(a) <= 1
+
+
+small_factors = st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(lambda f: f[-1])
+
+
+@given(st.lists(small_factors, min_size=1, max_size=4), st.booleans())
+def test_integer_squarefree_matches_rational_gcd(factors, square_first):
+    if square_first:
+        factors = [factors[0]] + factors
+    coeffs = [1]
+    for f in factors:
+        prod = [0] * (len(coeffs) + len(f) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        coeffs = prod
+    assert _squarefree(coeffs) == squarefree_over_q(coeffs)
+    if square_first:
+        assert not _squarefree(coeffs)
+
+
+def test_long_edge_restriction_takes_linear_steps():
+    # t^N - 1 is square-free; its gcd chain ends with a division by a
+    # constant, which must not rescale all N coefficients at each step
+    assert is_newton_nondegenerate(parse_poly("x^100000 - y^100000"))
+    assert not _squarefree([1, 2, 1] + [0] * 100000)
