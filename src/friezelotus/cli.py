@@ -27,7 +27,7 @@ from .contfrac import Rational, hj_expand, kidoh_dual
 from .frieze import Frieze, frieze_from_quiddity, frieze_of_triangulation
 from .lotus import (Lotus, Petal, embed_polygon, lotus_of_polygon,
                     lotus_of_slope, lotus_of_slopes, polygon_of_lotus)
-from .polygon import polygon_of_cf
+from .polygon import polygon_from_quiddity, polygon_of_cf
 from .polyparse import parse_poly
 from .render import RenderOptions, render_frieze_text, render_graph_dot, render_lotus_svg
 from .resolution import (ResolutionGraph, count_resolution_graphs,
@@ -195,9 +195,7 @@ def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
                              "is not square-free away from the axes")
         return lotus_of_poly(f)
     if getattr(args, "quiddity", None):
-        q = _parse_quiddity(args.quiddity)
-        from .polygon import polygon_from_quiddity
-        return lotus_of_polygon(polygon_from_quiddity(q), 0)
+        return lotus_of_polygon(polygon_from_quiddity(_parse_quiddity(args.quiddity)), 0)
     raise ValueError("no lotus input given")
 
 
@@ -252,7 +250,7 @@ def graph_to_json(g: ResolutionGraph) -> dict:
 
 def frieze_to_json(f: Frieze) -> dict:
     return {"m": f.m, "quiddity": list(f.quiddity),
-            "entries": {f"{i},{j}": v for (i, j), v in sorted(f.entries.items())}}
+            "entries": {f"{i},{j}": v for (i, j), v in f.entries.items()}}
 
 
 def _dump(doc) -> str:
@@ -302,8 +300,11 @@ def _cmd_embed(args, stdin_text) -> str:
 
 
 def _cmd_lotus(args, stdin_text) -> str:
-    l = _lotus_from_args(args, stdin_text)
-    if args.json:
+    return _show_lotus(_lotus_from_args(args, stdin_text), args.json)
+
+
+def _show_lotus(l: Lotus, as_json: bool) -> str:
+    if as_json:
         return _dump(lotus_to_json(l))
     lines = [f"petals {len(l.petals)}"]
     for p in sorted(l.petals):
@@ -341,14 +342,7 @@ def _cmd_reduce(args, stdin_text) -> str:
 
 def _cmd_mutate(args, stdin_text) -> str:
     l = _lotus_from_args(args, stdin_text)
-    mutated = mutate_lotus(l, _parse_diagonal(args.diagonal))
-    if args.json:
-        return _dump(lotus_to_json(mutated))
-    lines = [f"petals {len(mutated.petals)}"]
-    for p in sorted(mutated.petals):
-        lines.append(f"  {p.u} {p.v} apex {p.apex}")
-    lines.append(f"curve {curve_of_lotus(mutated)}")
-    return "\n".join(lines) + "\n"
+    return _show_lotus(mutate_lotus(l, _parse_diagonal(args.diagonal)), args.json)
 
 
 def _cmd_partials(args, stdin_text) -> str:

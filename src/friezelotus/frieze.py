@@ -17,6 +17,15 @@ mod m, which is exactly how ``Frieze.entry`` normalises.
 A diagonal [u, v] of the associated polygon (vertices labelled 1..m)
 corresponds to the pair (u-1, v-1) here; the triangulation's diagonals are
 precisely the interior pairs carrying the value 1.
+
+Construction
+============
+By Conway and Coxeter, value(i, j) is the continuant P_{j-i-1}(q[i+1], ...,
+q[j-1]), so each row follows from the two before it with no division.  The
+diamond rule (value(i,j-1) value(i+1,j) - 1) / value(i+1,j-1) gives the same
+numbers, since continuants satisfy its unimodular form identically and its
+denominator is an earlier entry already checked positive; so a divisibility
+test could never fail, and none is made.
 """
 
 from __future__ import annotations
@@ -26,12 +35,16 @@ from collections.abc import Sequence
 from .contfrac import continuant
 from .polygon import TriangulatedPolygon, polygon_from_quiddity, quiddity_of
 
+# Ceiling on a frieze's m(m-1)/2 stored entries, checked before any row is
+# built; it admits polygons of up to 3 162 vertices.
+MAX_FRIEZE_ENTRIES = 5_000_000
+
 
 class Frieze:
     """Width m-3 frieze stored as its fundamental domain.
 
-    Construct through :func:`frieze_from_quiddity`, which validates the
-    diamond rule eagerly; a ``Frieze`` value is always globally consistent.
+    Construct through :func:`frieze_from_quiddity`, which validates every
+    row eagerly; a ``Frieze`` value is always globally consistent.
     Equality and hash depend on (m, quiddity) only.
     """
 
@@ -72,11 +85,11 @@ class Frieze:
 def frieze_from_quiddity(q: Sequence[int]) -> Frieze:
     """Build and validate the frieze whose quiddity row is ``q``.
 
-    Rows are propagated with the diamond rule
-    value(i,j) = (value(i,j-1)*value(i+1,j) - 1) / value(i+1,j-1); the input
-    is rejected with the first offending diamond if any entry comes out
-    non-integral or non-positive, or if the closing row is not all 1s.
-    """
+    Row d comes from the two rows before it by the continuant recurrence
+    value(i, i+d) = q[i+d-1] * value(i, i+d-1) - value(i, i+d-2), which needs
+    no divisibility test (see the module docstring).  The input is rejected,
+    naming the first offending pair in row-major order, if an entry of rows
+    2..m-2 is not positive or the closing row m-1 is not all 1s."""
     q = tuple(q)
     m = len(q)
     if m < 3:
@@ -84,30 +97,23 @@ def frieze_from_quiddity(q: Sequence[int]) -> Frieze:
     for t, a in enumerate(q):
         if a < 1:
             raise ValueError(f"quiddity entry {a} at position {t} is not positive")
-
-    rows: list[list[int]] = [[0] * m, [1] * m, [q[(i + 1) % m] for i in range(m)]]
-    for d in range(3, m):
-        row = []
-        for i in range(m):
-            num = rows[d - 1][i] * rows[d - 1][(i + 1) % m] - 1
-            den = rows[d - 2][(i + 1) % m]
-            if num % den != 0:
-                raise ValueError(_bad_diamond(i, i + d, "a non-integral entry"))
-            val = num // den
-            if d <= m - 2 and val < 1:
-                raise ValueError(_bad_diamond(i, i + d, f"the non-positive entry {val}"))
-            row.append(val)
-        rows.append(row)
-    if m > 3:
-        closing = rows[m - 1]
-    else:
-        closing = rows[2]
-    for i, val in enumerate(closing):
+    size = m * (m - 1) // 2
+    if size > MAX_FRIEZE_ENTRIES:
+        raise ValueError(f"the frieze of a {m}-gon has {size} entries, "
+                         f"over the limit of {MAX_FRIEZE_ENTRIES}")
+    labels = list(range(m))  # one int object per index, shared by all keys
+    entries = dict.fromkeys(zip(labels, labels[1:]), 1)
+    prev2, prev = [0] * m, [1] * m
+    for d in range(2, m):
+        row = [a * p - pp for a, p, pp in zip(q[d - 1:] + q[:d - 1], prev, prev2)]
+        if d <= m - 2 and min(row) < 1:
+            i = next(i for i, val in enumerate(row) if val < 1)
+            raise ValueError(_bad_diamond(i, i + d, f"the non-positive entry {row[i]}"))
+        entries.update(zip(zip(labels, labels[d:]), row))
+        prev2, prev = prev, row
+    for i, val in enumerate(prev):
         if val != 1:
             raise ValueError(_bad_diamond(i, i + m - 1, f"closing value {val} instead of 1"))
-
-    entries = {(i, i + d): rows[d][i]
-               for d in range(1, m) for i in range(m - d)}
     return Frieze(m=m, quiddity=q, entries=entries)
 
 

@@ -108,31 +108,36 @@ def quiddity_of(p: TriangulatedPolygon) -> tuple[int, ...]:
 
 def polygon_from_quiddity(q: Sequence[int]) -> TriangulatedPolygon:
     """Rebuild the unique triangulation with the given quiddity by cutting
-    off ears (vertices of count 1) until a triangle remains."""
+    off ears (vertices of count 1) until a triangle remains.  A vertex joins
+    the worklist of ears once, when its count reaches 1; a count falling
+    below 1 rejects the input at once, so every listed ear is still live."""
     m = len(q)
     if m < 3:
         raise ValueError("quiddity needs length >= 3")
     if any(a < 1 for a in q):
         raise ValueError("quiddity entries must be >= 1")
-    values = {t + 1: q[t] for t in range(m)}
-    nxt = {t + 1: ((t + 1) % m) + 1 for t in range(m)}
-    prv = {v: k for k, v in nxt.items()}
+    # label-indexed, slot 0 unused
+    values = [0, *q]
+    nxt = [0, *range(2, m + 1), 1]
+    prv = [0, m, *range(1, m)]
+    ears = [v for v in range(1, m + 1) if values[v] == 1]
     diagonals: set[Diagonal] = set()
-    alive = m
-    while alive > 3:
-        ear = next((v for v in sorted(values) if values[v] == 1), None)
-        if ear is None:
+    for _ in range(m - 3):
+        if not ears:
             raise ValueError("not the quiddity of a triangulated polygon (no ear)")
+        ear = ears.pop()
         a, b = prv[ear], nxt[ear]
         diagonals.add((min(a, b), max(a, b)))
-        values[a] -= 1
-        values[b] -= 1
-        if values[a] < 1 or values[b] < 1:
-            raise ValueError("not the quiddity of a triangulated polygon")
-        del values[ear]
+        for v in (a, b):
+            values[v] -= 1
+            if values[v] < 1:
+                raise ValueError("not the quiddity of a triangulated polygon")
+            if values[v] == 1:
+                ears.append(v)
         nxt[a], prv[b] = b, a
-        alive -= 1
-    if any(v != 1 for v in values.values()):
+    # counts stay >= 1 and each cut lowers their total by 3, so the last
+    # three are all 1 exactly when the total was 3(m - 2)
+    if sum(q) != 3 * (m - 2):
         raise ValueError("not the quiddity of a triangulated polygon")
     return TriangulatedPolygon(m, frozenset(diagonals))
 

@@ -10,14 +10,14 @@ from .lotus import Lotus, incidence_counts, lateral_boundary
 from .resolution import ResolutionGraph
 
 
-class RenderOptions(namedtuple("RenderOptions", "scale show_marks show_grid label_weights")):
+class RenderOptions(namedtuple("RenderOptions", "scale show_grid label_weights")):
     __slots__ = ()
 
-    def __new__(cls, scale: float = 40.0, show_marks: bool = True,
-                show_grid: bool = False, label_weights: bool = False):
+    def __new__(cls, scale: float = 40.0, show_grid: bool = False,
+                label_weights: bool = False):
         if not 0 < scale < math.inf:
             raise ValueError("scale must be finite and positive")
-        return super().__new__(cls, scale, show_marks, show_grid, label_weights)
+        return super().__new__(cls, scale, show_grid, label_weights)
 
 
 def _fmt(value: float) -> str:
@@ -65,11 +65,10 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
             lines.append(f'  <text x="{_fmt(p[0] * scale + 4)}" '
                          f'y="{_fmt((max_y - p[1]) * scale - 4)}" '
                          f'font-size="{_fmt(scale / 3)}">{-counts[p]}</text>')
-    if options.show_marks:
-        for p in sorted(l.marks):
-            cx, cy = p[0] * scale, (max_y - p[1]) * scale
-            lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                         f'r="{_fmt(scale / 8)}" fill="#000000"/>')
+    for p in sorted(l.marks):
+        cx, cy = p[0] * scale, (max_y - p[1]) * scale
+        lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                     f'r="{_fmt(scale / 8)}" fill="#000000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -84,18 +83,13 @@ def render_frieze_text(f: Frieze, periods: int = 1) -> str:
         raise ValueError("periods must be >= 1")
     m = f.m
     count = periods * m
-    widest = max(len(str(v)) for v in f.entries.values())
+    widest = len(str(max(f.entries.values())))  # entries are positive
     cell = 2 * ((widest + 2) // 2 + 1)
     half = cell // 2
     out = []
     for d in range(m + 1):
-        row = [f.entry(i, i + d) for i in range(count)]
-        text = [" "] * (d * half + count * cell)
-        for i, val in enumerate(row):
-            s = str(val)
-            end = d * half + i * cell + cell
-            text[end - len(s):end] = list(s)
-        out.append("".join(text).rstrip())
+        row = "".join(str(f.entry(i, i + d)).rjust(cell) for i in range(count))
+        out.append((" " * (d * half) + row).rstrip())
     return "\n".join(out) + "\n"
 
 

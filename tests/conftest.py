@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from friezelotus.polygon import TriangulatedPolygon
 
 
@@ -63,6 +65,31 @@ def random_triangulation(m: int, rng: random.Random) -> TriangulatedPolygon:
 
     split(1, m)
     return TriangulatedPolygon(m, frozenset(diagonals))
+
+
+@st.composite
+def quiddities(draw, max_m: int = 40):
+    """Tuples of length 3..max_m: half free entries in 1..6, half the
+    quiddity of a random triangulation with up to two entries moved by 1."""
+    m = draw(st.integers(3, max_m))
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(1, 6), min_size=m, max_size=m)))
+    counts = [0] * m
+    for i, j in random_triangulation(m, draw(st.randoms(use_true_random=False))).diagonals:
+        counts[i - 1] += 1
+        counts[j - 1] += 1
+    q = [c + 1 for c in counts]
+    for _ in range(draw(st.integers(0, 2))):
+        q[draw(st.integers(0, m - 1))] += draw(st.sampled_from((-1, 1)))
+    return tuple(q)
+
+
+def outcome(build, q):
+    """``build(q)``, or the message of the ValueError it raises."""
+    try:
+        return build(q)
+    except ValueError as exc:
+        return str(exc)
 
 
 def coprime_pairs(limit: int):

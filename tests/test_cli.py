@@ -3,6 +3,7 @@ import sys
 
 from friezelotus.cli import run
 from friezelotus.contfrac import MAX_VERTICES
+from friezelotus.frieze import MAX_FRIEZE_ENTRIES
 
 
 def test_hj_running():
@@ -203,3 +204,12 @@ def test_output_ceiling_rejects_before_building(capsys):
         assert err.startswith(f"error: the slope {slope} gives a polygon of ")
         assert err.endswith(f" vertices, over the limit of {MAX_VERTICES}\n")
         assert err.count("\n") == 1
+
+
+def test_frieze_entry_ceiling(capsys):
+    for argv, m in ((["frieze", "--rational", "4001/4000"], 4003),
+                    (["frieze", "--quiddity", ",".join(["1"] * 3200)], 3200)):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: the frieze of a {m}-gon has {m * (m - 1) // 2} entries, "
+            f"over the limit of {MAX_FRIEZE_ENTRIES}\n")

@@ -1,12 +1,16 @@
+from itertools import product
+
 import pytest
+from hypothesis import given
 
 from friezelotus.contfrac import Rational, hj_expand
-from friezelotus.frieze import (complete_quiddity, entry_by_continuant,
-                                frieze_from_quiddity, frieze_of_triangulation,
-                                triangulation_of_frieze)
-from friezelotus.polygon import enumerate_triangulations, polygon_of_cf, quiddity_of
+from friezelotus.frieze import (MAX_FRIEZE_ENTRIES, complete_quiddity,
+                                entry_by_continuant, frieze_from_quiddity,
+                                frieze_of_triangulation, triangulation_of_frieze)
+from friezelotus.polygon import (enumerate_triangulations, polygon_from_quiddity,
+                                 polygon_of_cf, quiddity_of)
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, outcome, quiddities
 
 RUNNING_QUIDDITY = (1, 2, 2, 3, 2, 1, 3, 4)
 
@@ -63,6 +67,12 @@ def test_rejects_non_quiddity_with_diamond_diagnostic():
         frieze_from_quiddity((1, 0, 1))
     with pytest.raises(ValueError):
         frieze_from_quiddity((1, 1))
+    with pytest.raises(ValueError, match="diamond"):
+        frieze_from_quiddity((1,) * 3162)  # 4 997 541 entries, under the ceiling
+    with pytest.raises(ValueError) as info:
+        frieze_from_quiddity((1,) * 3163)
+    assert str(info.value) == ("the frieze of a 3163-gon has 5000703 entries, "
+                               f"over the limit of {MAX_FRIEZE_ENTRIES}")
 
 
 def test_diamond_rule_exhaustive():
@@ -132,3 +142,67 @@ def test_complete_quiddity_recovers_every_small_frieze():
 def test_complete_quiddity_rejects_unextendable_prefix():
     with pytest.raises(ValueError):
         complete_quiddity((1, 1, 5, 1))
+
+
+def diamond_rule_frieze(q):
+    """Reference builder: the full m x m row table by the diamond rule
+    value(i,j) = (value(i,j-1)*value(i+1,j) - 1) / value(i+1,j-1), with the
+    divisibility test and the messages of ``frieze_from_quiddity``."""
+    q = tuple(q)
+    m = len(q)
+    if m < 3:
+        raise ValueError("quiddity needs length >= 3")
+    for t, a in enumerate(q):
+        if a < 1:
+            raise ValueError(f"quiddity entry {a} at position {t} is not positive")
+    bad = "not a frieze quiddity: the diamond rule at ({},{}) produces {}"
+    rows = [[0] * m, [1] * m, [q[(i + 1) % m] for i in range(m)]]
+    for d in range(3, m):
+        row = []
+        for i in range(m):
+            num = rows[d - 1][i] * rows[d - 1][(i + 1) % m] - 1
+            den = rows[d - 2][(i + 1) % m]
+            if num % den != 0:
+                raise ValueError(bad.format(i, i + d, "a non-integral entry"))
+            val = num // den
+            if d <= m - 2 and val < 1:
+                raise ValueError(bad.format(i, i + d, f"the non-positive entry {val}"))
+            row.append(val)
+        rows.append(row)
+    for i, val in enumerate(rows[m - 1] if m > 3 else rows[2]):
+        if val != 1:
+            raise ValueError(bad.format(i, i + m - 1, f"closing value {val} instead of 1"))
+    return {(i, i + d): rows[d][i] for d in range(1, m) for i in range(m - d)}
+
+
+def assert_same_as_diamond_rule(q):
+    got = outcome(frieze_from_quiddity, q)
+    assert (got if isinstance(got, str) else got.entries) == outcome(diamond_rule_frieze, q)
+
+
+def test_continuant_rows_match_diamond_rule_exhaustive():
+    for m in range(3, 8):
+        for q in product(range(5), repeat=m):
+            assert_same_as_diamond_rule(q)
+
+
+@given(quiddities())
+def test_continuant_rows_match_diamond_rule(q):
+    assert_same_as_diamond_rule(q)
+
+
+def accepts(build, q) -> bool:
+    return not isinstance(outcome(build, q), str)
+
+
+def test_frieze_and_ear_cut_accept_the_same_quiddities_exhaustive():
+    # Conway-Coxeter: frieze quiddities are the quiddities of triangulations
+    for m in range(3, 8):
+        for q in product(range(1, 5), repeat=m):
+            assert accepts(frieze_from_quiddity, q) == accepts(polygon_from_quiddity, q)
+
+
+@given(quiddities())
+def test_frieze_and_ear_cut_accept_the_same_quiddities(q):
+    if min(q) >= 1:
+        assert accepts(frieze_from_quiddity, q) == accepts(polygon_from_quiddity, q)

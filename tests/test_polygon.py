@@ -1,13 +1,15 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given
 
 from friezelotus.polygon import (TriangulatedPolygon, diagonals_cross,
                                  enumerate_triangulations, flip, make_polygon,
                                  polygon_from_quiddity, polygon_of_cf,
                                  quiddity_of)
 
-from conftest import catalan_by_recurrence, random_triangulation
+from conftest import catalan_by_recurrence, outcome, quiddities, random_triangulation
 
 
 def test_validation_rejects_bad_polygons():
@@ -160,3 +162,47 @@ def test_triangles_of_counts():
     for m in range(3, 9):
         for t in enumerate_triangulations(m):
             assert len(t.triangles) == m - 2
+
+
+def smallest_label_ear_cut(q):
+    """Reference ear cut: always the live ear of smallest label, found by
+    sorting the live vertices, with the messages of ``polygon_from_quiddity``."""
+    m = len(q)
+    if m < 3:
+        raise ValueError("quiddity needs length >= 3")
+    if any(a < 1 for a in q):
+        raise ValueError("quiddity entries must be >= 1")
+    values = {t + 1: q[t] for t in range(m)}
+    nxt = {t + 1: ((t + 1) % m) + 1 for t in range(m)}
+    prv = {v: k for k, v in nxt.items()}
+    diagonals = set()
+    while len(values) > 3:
+        ear = next((v for v in sorted(values) if values[v] == 1), None)
+        if ear is None:
+            raise ValueError("not the quiddity of a triangulated polygon (no ear)")
+        a, b = prv[ear], nxt[ear]
+        diagonals.add((min(a, b), max(a, b)))
+        values[a] -= 1
+        values[b] -= 1
+        if values[a] < 1 or values[b] < 1:
+            raise ValueError("not the quiddity of a triangulated polygon")
+        del values[ear]
+        nxt[a], prv[b] = b, a
+    if any(v != 1 for v in values.values()):
+        raise ValueError("not the quiddity of a triangulated polygon")
+    return TriangulatedPolygon(m, frozenset(diagonals))
+
+
+def assert_same_as_smallest_label_ear_cut(q):
+    assert outcome(polygon_from_quiddity, q) == outcome(smallest_label_ear_cut, q)
+
+
+def test_worklist_ear_cut_matches_smallest_label_exhaustive():
+    for m in range(3, 8):
+        for q in product(range(5), repeat=m):
+            assert_same_as_smallest_label_ear_cut(q)
+
+
+@given(quiddities())
+def test_worklist_ear_cut_matches_smallest_label(q):
+    assert_same_as_smallest_label_ear_cut(q)

@@ -3,8 +3,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from friezelotus.contfrac import Rational
-from friezelotus.frieze import frieze_from_quiddity
+from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
 from friezelotus.lotus import BASE_PETAL, Lotus, lotus_of_slope
+from friezelotus.polygon import enumerate_triangulations
 from friezelotus.render import (RenderOptions, render_frieze_text,
                                 render_graph_dot, render_lotus_svg)
 from friezelotus.resolution import ResolutionGraph, graph_of_lotus
@@ -85,6 +86,32 @@ def test_frieze_text_periods():
     assert two.splitlines()[1].split() == ["1"] * 6
     with pytest.raises(ValueError):
         render_frieze_text(f, periods=0)
+
+
+def spliced_frieze_text(f, periods):
+    """Reference renderer: each value's characters spliced into a blank row
+    so that it ends at the right edge of its cell."""
+    count = periods * f.m
+    widest = max(len(str(v)) for v in f.entries.values())
+    cell = 2 * ((widest + 2) // 2 + 1)
+    half = cell // 2
+    out = []
+    for d in range(f.m + 1):
+        text = [" "] * (d * half + count * cell)
+        for i in range(count):
+            s = str(f.entry(i, i + d))
+            end = d * half + i * cell + cell
+            text[end - len(s):end] = list(s)
+        out.append("".join(text).rstrip())
+    return "\n".join(out) + "\n"
+
+
+def test_frieze_text_matches_spliced_reference():
+    for m in range(3, 10):
+        for t in enumerate_triangulations(m):
+            f = frieze_of_triangulation(t)
+            for periods in (1, 2, 3):
+                assert render_frieze_text(f, periods) == spliced_frieze_text(f, periods)
 
 
 def test_dot_cusp_graph():
