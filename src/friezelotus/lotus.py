@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
 from .frieze import frieze_from_quiddity
-from .polygon import TriangulatedPolygon, quiddity_of
+from .polygon import Triangle, TriangulatedPolygon, quiddity_of
 
 Point = tuple[int, int]
 
@@ -228,25 +228,16 @@ def petals_of_embedding(p: TriangulatedPolygon, verts: Sequence[Point],
     """Map each triangle of ``p`` to the petal it spans under the placement
     ``verts`` produced with anchor ``k`` (the embedding lists the vertices
     starting from polygon vertex k+1, so labels are rotated by k)."""
-    m = p.m
-    petals = set()
-    for tri in p.triangles:
-        pts = [verts[(t - 1 - k) % m] for t in tri]
-        petals.add(petal_of_triangle(pts))
-    return frozenset(petals)
+    return frozenset(_triangle_petal(verts, tri, k) for tri in p.triangles)
 
 
-def petal_of_triangle(pts: Sequence[Point]) -> Petal:
-    """Petal with the given three vertices: one of them is the apex (the sum
-    of the other two); the base pair is ordered to make det = +1."""
-    for apex_idx in range(3):
-        a, b = [pts[t] for t in range(3) if t != apex_idx]
-        apex = pts[apex_idx]
-        if (a[0] + b[0], a[1] + b[1]) == apex:
-            if a[0] * b[1] - a[1] * b[0] == 1:
-                return Petal(a, b)
-            return Petal(b, a)
-    raise ValueError(f"triangle {list(pts)} is not a petal")
+def _triangle_petal(verts: Sequence[Point], tri: Triangle, k: int = 0) -> Petal:
+    """The petal of a triangle, read off its labels rotated by ``k``: the
+    triangle lo < mid < hi has its base on the chord [lo, hi] and its apex
+    at mid, so its petal is (vertex hi, vertex lo).  This is the one place
+    where a petal's orientation is decided."""
+    lo, _, hi = sorted((t - 1 - k) % len(verts) for t in tri)
+    return _petal(verts[hi], verts[lo])
 
 
 def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .frieze import Frieze
+from .frieze import MAX_FRIEZE_ENTRIES, Frieze
 from .lotus import Lotus, incidence_counts, lateral_boundary
 from .resolution import ResolutionGraph
 
@@ -34,6 +34,12 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
     max_x = max(p[0] for p in pts) + margin
     max_y = max(p[1] for p in pts) + margin
     scale = options.scale
+    try:
+        finite = math.isfinite(max(max_x, max_y) * scale)
+    except OverflowError:  # a lattice coordinate beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"at scale {scale:g} the drawing's width or height is not finite")
 
     def at(p: tuple[int, int]) -> str:
         return f"{_fmt(p[0] * scale)},{_fmt((max_y - p[1]) * scale)}"
@@ -82,6 +88,9 @@ def render_frieze_text(f: Frieze, periods: int = 1) -> str:
     if periods < 1:
         raise ValueError("periods must be >= 1")
     m = f.m
+    if periods * (m * (m - 1) // 2) > MAX_FRIEZE_ENTRIES:
+        raise ValueError(f"{periods} periods of the frieze of a {m}-gon exceed "
+                         f"the limit of {MAX_FRIEZE_ENTRIES} entries")
     count = periods * m
     widest = len(str(max(f.entries.values())))  # entries are positive
     cell = 2 * ((widest + 2) // 2 + 1)

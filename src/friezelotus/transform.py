@@ -5,6 +5,10 @@ piece containing the base edge [1, m]; its quiddity is given by closed
 formulas in the frieze entries, so every partial-resolution weight chain
 already sits inside the full frieze.  Mutation flips a diagonal and
 re-embeds the new triangulation with vertex 1 back at (0,1).
+
+Mutation data are read off the polygon's labels, never searched for in the
+lattice: a triangle's labels fix its petal (see ``lotus._triangle_petal``),
+and a quadrilateral's labels fix its type and its base side.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .frieze import entry_by_continuant
-from .lotus import Lotus, lotus_of_polygon, petal_of_triangle, polygon_of_lotus
+from .lotus import Lotus, _triangle_petal, lotus_of_polygon, polygon_of_lotus
 from .polygon import Diagonal, TriangulatedPolygon, flip, flip_quadrilateral, quiddity_of
 
 
@@ -99,54 +103,24 @@ def quad_type(l: Lotus, d: Diagonal) -> int:
     triangle {a, b, c} (b = a + c in the lattice) and d' the apex of the
     petal based on [a, b], the type is 1 when (a, c, b) is in clockwise
     order as drawn (y axis up), and 2 when (a, b, c) is.  Mutation toggles
-    the type.
+    the type.  On the labels of the lotus polygon, with d = (i, j), the
+    base-side triangle is the one whose third vertex c lies outside [i, j],
+    and the type is 1 exactly when c < i.
     """
-    poly, verts = polygon_of_lotus(l)
+    poly, _ = polygon_of_lotus(l)
     i, j, k1, k2 = flip_quadrilateral(poly, d)
-    pi, pj = verts[i - 1], verts[j - 1]
-    for apex_label, other_label in ((k1, k2), (k2, k1)):
-        pk = verts[apex_label - 1]
-        for a_pt, b_pt in ((pi, pj), (pj, pi)):
-            # base-side triangle {a, b, c=k}: b is its apex, b = a + c
-            if (a_pt[0] + pk[0], a_pt[1] + pk[1]) == b_pt:
-                c_pt = pk
-                # (a, c, b) clockwise as drawn (y up) means negative cross
-                cross = ((c_pt[0] - a_pt[0]) * (b_pt[1] - a_pt[1])
-                         - (c_pt[1] - a_pt[1]) * (b_pt[0] - a_pt[0]))
-                return 1 if cross < 0 else 2
-    raise ValueError(f"diagonal {d} does not bound a petal pair")
+    return 1 if min(k1, k2) < i else 2
 
 
 def base_side_petals(l: Lotus, d: Diagonal) -> frozenset:
     """Petals strictly below the quadrilateral of diagonal ``d``: everything
     except the two quadrilateral petals and the parts hanging off its three
-    non-base-side edges.  This set is preserved by mutation."""
+    non-base-side edges.  This set is preserved by mutation.
+
+    They are the petals of the triangles reaching outside the labels
+    [min(quad), max(quad)], the side of the quadrilateral facing [1, m]."""
     poly, verts = polygon_of_lotus(l)
-    i, j, k1, k2 = flip_quadrilateral(poly, d)
-    quad = sorted((i, j, k1, k2))
-    # the base side of the quad is bounded by the chord between the two
-    # quad vertices enclosing vertex 1/m cyclically; triangles beyond the
-    # other chords belong to the far parts
-    quad_tris = {tri for tri in poly.triangles if i in tri and j in tri}
-    base_petals = set()
-    for tri in poly.triangles:
-        if tri in quad_tris:
-            continue
-        lo, hi = _enclosing_side(quad, tri, poly.m)
-        if lo is None:
-            base_petals.add(petal_of_triangle([verts[t - 1] for t in tri]))
-    return frozenset(base_petals)
-
-
-def _enclosing_side(quad: list[int], tri: tuple[int, int, int], m: int):
-    # a non-quad triangle lies in one of the four outer regions cut off by
-    # the quad's sides; report that side, or (None, None) for the region
-    # containing the base edge [1, m]
-    for t in range(4):
-        lo, hi = quad[t], quad[(t + 1) % 4]
-        lo, hi = min(lo, hi), max(lo, hi)
-        inside = all(lo <= v <= hi for v in tri)
-        # the base edge [1, m] lies "inside" the arc lo..hi only if lo=1, hi=m
-        if inside and not (lo == 1 and hi == m):
-            return lo, hi
-    return None, None
+    quad = flip_quadrilateral(poly, d)
+    lo, hi = min(quad), max(quad)
+    return frozenset(_triangle_petal(verts, tri) for tri in poly.triangles
+                     if tri[0] < lo or tri[2] > hi)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from friezelotus.lotus import Petal
 from friezelotus.polygon import TriangulatedPolygon
 
 
@@ -65,6 +66,20 @@ def random_triangulation(m: int, rng: random.Random) -> TriangulatedPolygon:
 
     split(1, m)
     return TriangulatedPolygon(m, frozenset(diagonals))
+
+
+def petal_of_triangle(pts) -> Petal:
+    """Petal with the given three lattice points, found geometrically: the
+    apex is the point that is the sum of the other two, and the base pair
+    is ordered to make det = +1.  The checked ``Petal`` constructor
+    rejects anything that is not a petal."""
+    for apex_idx in range(3):
+        a, b = [pts[t] for t in range(3) if t != apex_idx]
+        if (a[0] + b[0], a[1] + b[1]) == pts[apex_idx]:
+            if a[0] * b[1] - a[1] * b[0] == 1:
+                return Petal(a, b)
+            return Petal(b, a)
+    raise ValueError(f"triangle {list(pts)} is not a petal")
 
 
 @st.composite

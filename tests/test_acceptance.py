@@ -11,7 +11,7 @@ import time
 from friezelotus.cli import run
 from friezelotus.contfrac import Rational, hj_expand
 from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
-from friezelotus.lotus import (embed_polygon, lotus_of_polygon, lotus_of_slope,
+from friezelotus.lotus import (Petal, embed_polygon, lotus_of_polygon, lotus_of_slope,
                                pinching_points, polygon_of_lotus)
 from friezelotus.polygon import (enumerate_triangulations, flip,
                                  flip_quadrilateral, quiddity_of)
@@ -185,7 +185,8 @@ def test_criterion_8_property_suites():
                 for step in range(1, m + 1):
                     assert verts[step - 1] == (f.entry(k, k + step - 1),
                                                f.entry(k - 1, k + step - 1))
-            lotus_of_polygon(t, 0)  # petal unimodularity checked on build
+            for p in lotus_of_polygon(t, 0).petals:
+                assert Petal(p.u, p.v) == p  # the builder skips the checks
             for diag in sorted(t.diagonals):
                 r = reduce(t, diag)
                 assert r.quiddity == quiddity_of(r.polygon)

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import sys
+import time
+
+from hypothesis import example, given, settings, strategies as st
 
 from friezelotus.cli import run
 from friezelotus.contfrac import MAX_VERTICES
@@ -213,3 +218,152 @@ def test_frieze_entry_ceiling(capsys):
         assert capsys.readouterr().err == (
             f"error: the frieze of a {m}-gon has {m * (m - 1) // 2} entries, "
             f"over the limit of {MAX_FRIEZE_ENTRIES}\n")
+
+
+def test_count_refused_before_it_is_computed(capsys):
+    limit = sys.get_int_max_str_digits()
+    for argv in (["count", "10000000"], ["count", "10000000", "--json"]):
+        start = time.perf_counter()
+        assert run(argv) == (1, "")
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: the count for n = 10000000 has more than {limit} digits\n")
+
+
+def test_count_bound_refuses_only_counts_over_the_limit():
+    # n just below the early bound take the exact path: under the default
+    # limit 7 152 still prints, 7 153 to 7 156 are refused by conversion and
+    # 7 157 on by the bound; under the smallest limit the bound never
+    # refuses a count that the exact path would print
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code, out = run(["count", "7152"])
+            assert code == 0 and len(out) == 4301
+            assert [run(["count", str(n)])[0] for n in range(7153, 7160)] == [1] * 7
+        assert err.getvalue().count("\n") == 7
+        sys.set_int_max_str_digits(640)
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes = {n: run(["count", str(n)])[0] for n in range(1000, 1200)}
+        sys.set_int_max_str_digits(0)
+        for n, code in codes.items():
+            assert code == (0 if len(run(["count", str(n)])[1]) <= 641 else 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_periods_are_held_to_the_entry_ceiling(capsys, monkeypatch):
+    for argv in (["frieze", "--rational", "3/2", "--periods", "1000000000"],
+                 ["render", "--rational", "3/2", "--format", "text",
+                  "--periods", "1000000000"]):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: 1000000000 periods of the frieze of a 5-gon exceed the limit "
+            f"of {MAX_FRIEZE_ENTRIES} entries\n")
+    # a 5-gon's frieze stores 10 entries a period
+    import friezelotus.render as render_module
+    monkeypatch.setattr(render_module, "MAX_FRIEZE_ENTRIES", 100)
+    assert run(["frieze", "--rational", "3/2", "--periods", "10"])[0] == 0
+    assert run(["frieze", "--rational", "3/2", "--periods", "11"]) == (1, "")
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_svg_of_no_finite_size_is_refused(capsys):
+    fib = [1, 1]
+    while len(fib) < 1600:
+        fib.append(fib[-1] + fib[-2])
+    for argv, scale in ((["--rational", "3/2", "--scale", "1e308"], "1e+308"),
+                        (["--rational", f"{fib[-1]}/{fib[-2]}"], "40")):
+        assert run(["render", "--format", "svg", *argv]) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: at scale {scale} the drawing's width or height is not finite\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command-line contract over the real grammar
+
+_INPUTS = {
+    "frieze": ("--quiddity", "--rational", "--poly", "--stdin"),
+    "embed": ("--quiddity",),
+    "render": ("--slopes", "--rational", "--poly", "--quiddity", "--stdin"),
+}
+_LOTUS_INPUTS = ("--slopes", "--rational", "--poly", "--quiddity", "--stdin")
+_COMMANDS = ("hj", "frieze", "embed", "lotus", "graph", "reduce", "mutate",
+             "partials", "count", "render")
+
+_small = st.integers(-2, 12).map(str)
+_rationals = st.one_of(st.builds("{}/{}".format, st.integers(-3, 40), st.integers(-2, 30)),
+                       _small, st.sampled_from(["", "x", "1/0", "0/0", "3//2", "inf"]))
+_quiddities = st.one_of(st.lists(st.integers(0, 5), min_size=1, max_size=9).map(
+    lambda q: ",".join(map(str, q))), st.sampled_from(["", ",", "1,,1", "a,b"]))
+_polys = st.one_of(
+    st.lists(st.builds("x^{}{}y^{}".format, st.integers(0, 9), st.sampled_from("+-"),
+                       st.integers(0, 9)), min_size=1, max_size=3).map(
+        lambda fs: "*".join(f"({f})" for f in fs)),
+    st.sampled_from(["", "x", "x^3 - ", "(x^2-y)*(x^2-y)", "x*y", "2", "x^2+y^2+x*y"]))
+_points = st.lists(st.integers(-1, 3), min_size=0, max_size=3)
+_lotus_docs = st.one_of(
+    st.sampled_from(['{"petals": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]], "marks": [[2, 1]]}',
+                     '{"petals": [[[1, 0], [0, 1]], [[1, 1], [1, 2]]], "marks": []}',
+                     '{"petals": []}', '{"petals": [], "marks": [[1, 0]]}',
+                     '{"petals": [[[1, 0], [0, 1]]], "marks": [[1, 1]]}', "", "[]", "{",
+                     '{"petals": null}', '{"petals": [[[0, 1], [1, 0]]]}']),
+    st.lists(st.lists(_points, max_size=3), max_size=4).map(
+        lambda ps: json.dumps({"petals": ps})),
+    st.text(max_size=20))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command]
+    if command == "hj":
+        argv.append(draw(_rationals))
+    elif command == "count":
+        argv.append(draw(st.one_of(st.integers(-2, 60).map(str), st.just("x"))))
+    else:
+        flag = draw(st.sampled_from(_INPUTS.get(command, _LOTUS_INPUTS)))
+        value = {"--quiddity": _quiddities, "--rational": _rationals, "--poly": _polys,
+                 "--slopes": st.lists(_rationals, min_size=1, max_size=3).map(",".join)}
+        argv.append(flag)
+        if flag != "--stdin":
+            argv.append(draw(value[flag]))
+    if command in ("reduce", "mutate"):
+        argv += ["--diagonal", draw(st.one_of(
+            st.builds("{},{}".format, st.integers(0, 10), st.integers(0, 10)),
+            st.sampled_from(["", "1", "1,2,3", "a,b"])))]
+    if command == "embed" and draw(st.booleans()):
+        argv += ["-k", draw(_small)]
+    if command == "render":
+        argv += ["--format", draw(st.sampled_from(["svg", "dot", "text", "png"]))]
+        for flag in ("--grid", "--weights"):
+            if draw(st.booleans()):
+                argv.append(flag)
+        if draw(st.booleans()):
+            argv += ["--scale", draw(st.sampled_from(
+                ["40", "0.5", "0", "-1", "nan", "inf", "1e308", "1e-320", "x"]))]
+    if command in ("frieze", "render") and draw(st.booleans()):
+        argv += ["--periods", draw(_small)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 9)) == 0:  # a stray or missing argument
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--json", "--bogus", "-k", "--rational", "1"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs(), _lotus_docs)
+@example(["count", "10000000"], "")
+@example(["frieze", "--rational", "3/2", "--periods", "1000000000"], "")
+@example(["render", "--rational", "3/2", "--format", "svg", "--scale", "1e308"], "")
+def test_cli_contract_holds_on_random_invocations(argv, stdin_text):
+    # exit 0, 1 or 2, never an escaping exception, and a domain error is
+    # exactly one line on stderr
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code, _ = run(argv, stdin_text=stdin_text)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

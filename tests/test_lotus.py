@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -12,7 +13,7 @@ from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal,
 from friezelotus.frieze import frieze_of_triangulation
 from friezelotus.polygon import enumerate_triangulations, quiddity_of
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, petal_of_triangle, random_triangulation
 
 
 def petal(u, v):
@@ -187,15 +188,36 @@ def test_embedding_roundtrip_all_small_triangulations():
 
 
 def test_every_anchor_embeds_as_a_lotus():
-    # each anchor produces a parent-closed petal set with one petal per
-    # triangle (lotus_of_polygon skips the checks, so the public
-    # constructor re-checks closure here)
+    # each anchor produces a parent-closed set of m-2 valid petals
+    # (lotus_of_polygon skips the checks, so the public constructors
+    # re-check every petal and the closure here)
     for m in range(3, 8):
         for t in enumerate_triangulations(m):
             for k in range(m):
                 l = lotus_of_polygon(t, k)
                 assert len(l.petals) == m - 2
+                for p in l.petals:
+                    assert Petal(p.u, p.v) == p
                 assert Lotus(l.petals) == l
+
+
+def petals_by_lattice_search(t, verts, k):
+    return frozenset(petal_of_triangle([verts[(v - 1 - k) % t.m] for v in tri])
+                     for tri in t.triangles)
+
+
+def test_label_rule_matches_the_lattice_search():
+    # the petal of each triangle read off its labels against the petal
+    # found by searching its three lattice points for the apex: every
+    # triangulation up to m = 9 and random ones up to m = 40, all anchors
+    rng = random.Random(8)
+    polygons = [t for m in range(3, 10) for t in enumerate_triangulations(m)]
+    polygons += [random_triangulation(m, rng) for m in range(10, 41)]
+    for t in polygons:
+        q = quiddity_of(t)
+        for k in range(t.m):
+            verts = embed_polygon(q, k)
+            assert petals_of_embedding(t, verts, k) == petals_by_lattice_search(t, verts, k)
 
 
 def test_marks_must_lie_on_boundary():

@@ -4,15 +4,15 @@ import pytest
 
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
-from friezelotus.lotus import lotus_of_slope, polygon_of_lotus
-from friezelotus.polygon import (enumerate_triangulations, make_polygon,
-                                 quiddity_of)
+from friezelotus.lotus import lotus_of_polygon, lotus_of_slope, polygon_of_lotus
+from friezelotus.polygon import (enumerate_triangulations, flip_quadrilateral,
+                                 make_polygon, quiddity_of)
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import curve_of_lotus, lotus_of_poly, partial_resolutions
 from friezelotus.transform import (base_side_petals, mutate_lotus, quad_type,
                                    reduce, reduction_chain)
 
-from conftest import random_triangulation
+from conftest import petal_of_triangle, random_triangulation
 
 
 def test_reduce_square_leaves_triangle():
@@ -213,3 +213,52 @@ def test_quad_type_matches_drawn_convention():
     p1 = lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).unmarked()
     assert quad_type(p1, (3, 5)) == 1
     assert quad_type(p1, (1, 3)) == 2
+
+
+def quad_type_by_lattice(l, d):
+    """The drawn definition: find the base-side triangle {a, b, c} by the
+    point sum b = a + c, then read the orientation of (a, c, b) off the
+    sign of a cross product."""
+    poly, verts = polygon_of_lotus(l)
+    i, j, k1, k2 = flip_quadrilateral(poly, d)
+    pi, pj = verts[i - 1], verts[j - 1]
+    for apex_label in (k1, k2):
+        c = verts[apex_label - 1]
+        for a, b in ((pi, pj), (pj, pi)):
+            if (a[0] + c[0], a[1] + c[1]) == b:
+                cross = (c[0] - a[0]) * (b[1] - a[1]) - (c[1] - a[1]) * (b[0] - a[0])
+                return 1 if cross < 0 else 2
+    raise ValueError(f"diagonal {d} does not bound a petal pair")
+
+
+def base_side_petals_by_regions(l, d):
+    """The petals outside the quadrilateral of ``d`` and outside the three
+    regions cut off by its sides other than the one facing [1, m], each
+    found as a petal by the lattice search."""
+    poly, verts = polygon_of_lotus(l)
+    i, j, k1, k2 = flip_quadrilateral(poly, d)
+    quad = sorted((i, j, k1, k2))
+    sides = [(min(quad[t], quad[(t + 1) % 4]), max(quad[t], quad[(t + 1) % 4]))
+             for t in range(4)]
+    far_sides = [(lo, hi) for lo, hi in sides if (lo, hi) != (1, poly.m)]
+    petals = set()
+    for tri in poly.triangles:
+        if i in tri and j in tri:
+            continue
+        if not any(all(lo <= v <= hi for v in tri) for lo, hi in far_sides):
+            petals.add(petal_of_triangle([verts[v - 1] for v in tri]))
+    return frozenset(petals)
+
+
+def test_label_rules_match_the_lattice_definitions():
+    # quad_type and base_side_petals read off labels, against their
+    # lattice definitions: every diagonal of every triangulation up to
+    # m = 9 and of random ones up to m = 40
+    rng = random.Random(8)
+    polygons = [t for m in range(4, 10) for t in enumerate_triangulations(m)]
+    polygons += [random_triangulation(m, rng) for m in range(10, 41)]
+    for t in polygons:
+        l = lotus_of_polygon(t, 0)
+        for d in sorted(t.diagonals):
+            assert quad_type(l, d) == quad_type_by_lattice(l, d)
+            assert base_side_petals(l, d) == base_side_petals_by_regions(l, d)
