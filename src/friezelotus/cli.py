@@ -12,7 +12,6 @@ lotus     {"petals": [[[ux,uy],[vx,vy]], ...], "marks": [[x,y], ...]}
 frieze    {"m": int, "quiddity": [...], "entries": {"i,j": value, ...}}
 graph     {"weights": [...], "arrows": [node, ...]}   (nodes 1-based)
 embedding {"vertices": [[x,y], ...]}
-curve     {"factors": [[d,c], ...], "polynomial": str}
 """
 
 from __future__ import annotations
@@ -384,6 +383,3 @@ def _cmd_render(args, stdin_text) -> str:
                             label_weights=args.weights)
     return render_lotus_svg(_lotus_from_args(args, stdin_text), options)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,7 +8,9 @@ parent-closed set of petals, optionally with marked lateral points.
 
 The boundary of a lotus minus the open segment between (1,0) and (0,1) is
 its lateral boundary; its interior vertices carry the weights -(incident
-petal count) used by the resolution-graph side of this package.
+petal count) used by the resolution-graph side of this package.  A lateral
+vertex's count is read off its two boundary neighbours: a + c = count * b,
+the recurrence that embed_polygon runs forward.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class Petal(namedtuple("Petal", "u v")):
     def apex(self) -> Point:
         u, v = self
         return (u[0] + v[0], u[1] + v[1])
-
-    @property
-    def points(self) -> tuple[Point, Point, Point]:
-        return (self.u, self.v, self.apex)
 
     def parent(self) -> Petal | None:
         """The unique petal sharing this petal's base edge, or None at the root."""
@@ -104,12 +102,6 @@ class Lotus(namedtuple("Lotus", "petals marks")):
     @property
     def is_segment(self) -> bool:
         return not self.petals
-
-    def vertices(self) -> set[Point]:
-        pts = {E1, E2}
-        for p in self.petals:
-            pts.update(p.points)
-        return pts
 
     def unmarked(self) -> Lotus:
         return _lotus(self.petals)
@@ -165,15 +157,15 @@ def is_sublotus(a: Lotus, b: Lotus) -> bool:
 
 def pinching_points(l: Lotus) -> set[Point]:
     """Non-basic vertices incident to exactly one petal."""
-    return {pt for pt, c in incidence_counts(l).items() if c == 1 and pt not in (E1, E2)}
+    chain = lateral_boundary(l)
+    return {pt for pt, c in zip(chain[1:], petal_counts(chain)) if c == 1}
 
 
-def incidence_counts(l: Lotus) -> dict[Point, int]:
-    counts: dict[Point, int] = {E1: 0, E2: 0}
-    for p in l.petals:
-        for pt in p.points:
-            counts[pt] = counts.get(pt, 0) + 1
-    return counts
+def petal_counts(chain: Sequence[Point]) -> list[int]:
+    """Petal count at each interior point b of a lateral boundary, read off
+    its neighbours a and c by a + c = count * b.  Interior points are petal
+    apexes, so b[0] >= 1."""
+    return [(a[0] + c[0]) // b[0] for a, b, c in zip(chain, chain[1:], chain[2:])]
 
 
 def lateral_boundary(l: Lotus) -> tuple[Point, ...]:

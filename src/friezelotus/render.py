@@ -6,8 +6,10 @@ import math
 from collections import namedtuple
 
 from .frieze import MAX_FRIEZE_ENTRIES, Frieze
-from .lotus import Lotus, incidence_counts, lateral_boundary
+from .lotus import Lotus, lateral_boundary, petal_counts
 from .resolution import ResolutionGraph
+
+MAX_GRID_LINES = 10_000
 
 
 class RenderOptions(namedtuple("RenderOptions", "scale show_grid label_weights")):
@@ -30,9 +32,9 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
     (y axis flipped so lattice up renders up), the lateral boundary as a
     highlighted polyline, marks as filled circles."""
     margin = 1
-    pts = l.vertices()
-    max_x = max(p[0] for p in pts) + margin
-    max_y = max(p[1] for p in pts) + margin
+    boundary = lateral_boundary(l)
+    max_x = max(p[0] for p in boundary) + margin
+    max_y = max(p[1] for p in boundary) + margin
     scale = options.scale
     try:
         finite = math.isfinite(max(max_x, max_y) * scale)
@@ -40,6 +42,8 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
         finite = False
     if not finite:
         raise ValueError(f"at scale {scale:g} the drawing's width or height is not finite")
+    if options.show_grid and max_x + max_y + 2 > MAX_GRID_LINES:
+        raise ValueError(f"the lattice grid would need over {MAX_GRID_LINES} lines")
 
     def at(p: tuple[int, int]) -> str:
         return f"{_fmt(p[0] * scale)},{_fmt((max_y - p[1]) * scale)}"
@@ -58,19 +62,17 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
             lines.append(f'  <line x1="0" y1="{_fmt(gy * scale)}" x2="{_fmt(max_x * scale)}" '
                          f'y2="{_fmt(gy * scale)}" stroke="#dddddd" stroke-width="1"/>')
     for petal in sorted(l.petals):
-        corners = " ".join(at(p) for p in petal.points)
+        corners = " ".join(at(p) for p in (petal.u, petal.v, petal.apex))
         lines.append(f'  <polygon points="{corners}" fill="#f5c87a" '
                      f'stroke="#333333" stroke-width="1"/>')
-    boundary = lateral_boundary(l)
     path = " ".join(at(p) for p in boundary)
     lines.append(f'  <polyline points="{path}" fill="none" stroke="#1f4fd8" '
                  f'stroke-width="3"/>')
-    if options.label_weights and not l.is_segment:
-        counts = incidence_counts(l)
-        for p in boundary[1:-1]:
+    if options.label_weights:
+        for p, count in zip(boundary[1:], petal_counts(boundary)):
             lines.append(f'  <text x="{_fmt(p[0] * scale + 4)}" '
                          f'y="{_fmt((max_y - p[1]) * scale - 4)}" '
-                         f'font-size="{_fmt(scale / 3)}">{-counts[p]}</text>')
+                         f'font-size="{_fmt(scale / 3)}">{-count}</text>')
     for p in sorted(l.marks):
         cx, cy = p[0] * scale, (max_y - p[1]) * scale
         lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '

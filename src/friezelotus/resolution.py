@@ -14,8 +14,8 @@ from collections.abc import Sequence
 from math import comb, gcd
 
 from .contfrac import Rational
-from .lotus import (BASE_PETAL, Lotus, Petal, _lotus, incidence_counts, lateral_boundary,
-                    lotus_of_slopes, pinching_points)
+from .lotus import (BASE_PETAL, Lotus, Petal, _lotus, lateral_boundary, lotus_of_slopes,
+                    petal_counts, pinching_points)
 from .polyparse import Poly2, Term, compact_edges, restrict_to_edge
 
 
@@ -74,10 +74,9 @@ def graph_of_lotus(l: Lotus) -> ResolutionGraph:
     the marked ones.  Rejects the degenerate segment lotus."""
     if l.is_segment:
         raise ValueError("the segment lotus has no exceptional curves")
-    interior = lateral_boundary(l)[1:-1]
-    counts = incidence_counts(l)
-    weights = tuple(-counts[pt] for pt in interior)
-    arrows = frozenset(t for t, pt in enumerate(interior) if pt in l.marks)
+    chain = lateral_boundary(l)
+    weights = tuple(-c for c in petal_counts(chain))
+    arrows = frozenset(t for t, pt in enumerate(chain[1:-1]) if pt in l.marks)
     return ResolutionGraph(weights, arrows)
 
 
@@ -189,20 +188,16 @@ def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
     """
     if l.is_segment:
         raise ValueError("the segment lotus has no resolutions")
-    children: dict[Petal, list[Petal]] = {p: [] for p in l.petals}
-    for p in l.petals:
-        parent = p.parent()
-        if parent is not None:
-            children[parent].append(p)
     # downsets[p]: the parent-closed subsets of the subtree at p that
     # contain p; a child's apex has the larger coordinate sum, so visiting
     # petals by decreasing apex sum settles every child before its parent
     downsets: dict[Petal, list[frozenset[Petal]]] = {}
     for root in sorted(l.petals, key=lambda p: -sum(p.apex)):
         sets = [frozenset({root})]
-        for ch in sorted(children[root]):
-            part = [frozenset()] + downsets.pop(ch)
-            sets = [s | extra for s in sets for extra in part]
+        for ch in root.children():
+            if ch in l.petals:
+                part = [frozenset()] + downsets.pop(ch)
+                sets = [s | extra for s in sets for extra in part]
         downsets[root] = sets
 
     out = [(sub, graph_of_lotus(sub)) for sub in map(_lotus, downsets[BASE_PETAL])]

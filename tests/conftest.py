@@ -68,6 +68,16 @@ def random_triangulation(m: int, rng: random.Random) -> TriangulatedPolygon:
     return TriangulatedPolygon(m, frozenset(diagonals))
 
 
+def incidence_counts(l) -> dict:
+    """Petals at each point of a lotus, counted over every petal's three
+    points; the base points (1,0) and (0,1) are present even at 0."""
+    counts = {(1, 0): 0, (0, 1): 0}
+    for p in l.petals:
+        for pt in (p.u, p.v, p.apex):
+            counts[pt] = counts.get(pt, 0) + 1
+    return counts
+
+
 def petal_of_triangle(pts) -> Petal:
     """Petal with the given three lattice points, found geometrically: the
     apex is the point that is the sum of the other two, and the base pair

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from friezelotus.cli import run
 from friezelotus.contfrac import MAX_VERTICES
 from friezelotus.frieze import MAX_FRIEZE_ENTRIES
+from friezelotus.render import MAX_GRID_LINES
 
 
 def test_hj_running():
@@ -280,6 +281,24 @@ def test_svg_of_no_finite_size_is_refused(capsys):
             f"error: at scale {scale} the drawing's width or height is not finite\n")
 
 
+def test_svg_grid_is_held_to_a_line_ceiling(capsys, monkeypatch):
+    # 25 petals of slope 121393/75025 reach x = 75025 and y = 121393, one
+    # grid line per lattice unit; the refusal comes before any line is built
+    argv = ["render", "--rational", "121393/75025", "--format", "svg"]
+    assert run(argv + ["--grid"]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: the lattice grid would need over {MAX_GRID_LINES} lines\n")
+    assert run(argv)[0] == 0
+    # the 3/2 lotus reaches (2, 3): with the margin, 4 + 5 grid lines
+    import friezelotus.render as render_module
+    monkeypatch.setattr(render_module, "MAX_GRID_LINES", 9)
+    code, out = run(["render", "--rational", "3/2", "--format", "svg", "--grid"])
+    assert code == 0 and out.count("<line ") == 9
+    monkeypatch.setattr(render_module, "MAX_GRID_LINES", 8)
+    assert run(["render", "--rational", "3/2", "--format", "svg", "--grid"]) == (1, "")
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the command-line contract over the real grammar
 
@@ -358,6 +377,7 @@ def _argvs(draw):
 @example(["count", "10000000"], "")
 @example(["frieze", "--rational", "3/2", "--periods", "1000000000"], "")
 @example(["render", "--rational", "3/2", "--format", "svg", "--scale", "1e308"], "")
+@example(["render", "--rational", "121393/75025", "--format", "svg", "--grid"], "")
 def test_cli_contract_holds_on_random_invocations(argv, stdin_text):
     # exit 0, 1 or 2, never an escaping exception, and a domain error is
     # exactly one line on stderr

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from friezelotus.contfrac import Rational
-from friezelotus.lotus import (BASE_PETAL, Lotus, lateral_boundary,
+from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, lateral_boundary,
                                lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
-                               polygon_of_lotus)
+                               pinching_points, polygon_of_lotus)
 from friezelotus.frieze import frieze_of_triangulation
 from friezelotus.polygon import enumerate_triangulations, quiddity_of
 from friezelotus.polyparse import parse_poly
@@ -17,7 +18,25 @@ from friezelotus.resolution import (PlaneCurve, ResolutionGraph, _squarefree, ca
                                     lotus_of_poly, newton_fan,
                                     partial_resolutions)
 
-from conftest import catalan_by_recurrence, coprime_pairs
+from conftest import catalan_by_recurrence, coprime_pairs, incidence_counts
+
+
+def random_products(count: int, most: int, seed: int) -> list[Lotus]:
+    """Lotuses of ``count`` random products of 1-4 slopes n/q, n, q <= most."""
+    rng = random.Random(seed)
+    return [lotus_of_slopes({Rational(rng.randint(1, most), rng.randint(1, most))
+                             for _ in range(rng.randint(1, 4))})
+            for _ in range(count)]
+
+
+def fibonacci_lotuses() -> list[Lotus]:
+    """Slopes F(k+1)/F(k) and F(k)/F(k+1) of about 200 petals, with
+    coordinates of 42 or 43 digits."""
+    fib = [1, 1]
+    while len(fib) < 203:
+        fib.append(fib[-1] + fib[-2])
+    return [lotus_of_slope(Rational(a, b)) for k in (199, 200, 201)
+            for a, b in ((fib[k + 1], fib[k]), (fib[k], fib[k + 1]))]
 
 
 def test_graph_of_cusp_lotus():
@@ -205,6 +224,20 @@ def test_roundtrip_curve_fan_lotus():
         assert lotus_of_slopes(slopes).petals == l.petals
 
 
+def check_weights_read_off_boundary(l: Lotus) -> None:
+    """Weights read off boundary neighbours against petal incidences counted
+    one petal at a time, and against the polygon's quiddity."""
+    chain = lateral_boundary(l)
+    counts = incidence_counts(l)
+    g = graph_of_lotus(l)
+    assert g.weights == tuple(-counts[pt] for pt in chain[1:-1])
+    interior = quiddity_of(polygon_of_lotus(l)[0])[1:-1]
+    assert tuple(-w for w in reversed(g.weights)) == interior
+    assert pinching_points(l) == {pt for pt, c in counts.items()
+                                  if c == 1 and pt not in (E1, E2)}
+    assert set(chain) == {E1, E2}.union(*((p.u, p.v, p.apex) for p in l.petals))
+
+
 def test_graph_weights_match_quiddity_interior():
     # boundary runs (1,0) -> (0,1) while quiddity runs from the vertex at
     # (0,1), so the chains match after reversal
@@ -214,6 +247,44 @@ def test_graph_weights_match_quiddity_interior():
             g = graph_of_lotus(l)
             interior = quiddity_of(t)[1:-1]
             assert tuple(-w for w in reversed(g.weights)) == interior
+            check_weights_read_off_boundary(l)
+    products = random_products(80, 40, seed=9)
+    assert max(len(l.petals) + 2 for l in products) >= 50
+    for l in products + fibonacci_lotuses():
+        check_weights_read_off_boundary(l)
+
+
+def partials_by_parent_map(l: Lotus) -> list:
+    """Reference enumeration: a parent -> children map built through
+    ``Petal.parent``, children taken in sorted order, and weights from the
+    incidence-count oracle."""
+    children = {p: [] for p in l.petals}
+    for p in l.petals:
+        parent = p.parent()
+        if parent is not None:
+            children[parent].append(p)
+    downsets = {}
+    for root in sorted(l.petals, key=lambda p: -sum(p.apex)):
+        sets = [frozenset({root})]
+        for ch in sorted(children[root]):
+            part = [frozenset()] + downsets.pop(ch)
+            sets = [s | extra for s in sets for extra in part]
+        downsets[root] = sets
+    out = []
+    for petals in downsets[BASE_PETAL]:
+        sub = Lotus(petals)
+        counts = incidence_counts(sub)
+        weights = tuple(-counts[pt] for pt in lateral_boundary(sub)[1:-1])
+        out.append((sub, ResolutionGraph(weights)))
+    out.sort(key=lambda pair: (-len(pair[0].petals), pair[1].weights))
+    return out
+
+
+def test_partials_match_the_parent_map_enumeration():
+    lotuses = random_products(40, 9, seed=7) + [lotus_of_slope(Rational(11, 8))]
+    assert max(len(partials_by_parent_map(l)) for l in lotuses) >= 100
+    for l in lotuses:
+        assert partial_resolutions(l) == partials_by_parent_map(l.unmarked())
 
 
 def test_weight_sum_counts_incidences():
