@@ -197,11 +197,10 @@ def compact_edges(support: set[Term]) -> list[tuple[Term, Term]]:
     """
     if not support:
         raise ValueError("support must be nonempty")
-    minimal = [p for p in support
-               if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in support)]
-    minimal.sort()
-    hull = [minimal[0]]
-    for p in minimal[1:]:
+    hull: list[Term] = []
+    for p in sorted(support):
+        if hull and p[1] >= hull[-1][1]:
+            continue  # dominated by a point to its left that is no higher
         # boundary slopes strictly increase left to right; a right turn or a
         # collinear middle point is not a hull vertex
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:

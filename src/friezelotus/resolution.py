@@ -14,8 +14,9 @@ from collections.abc import Sequence
 from math import comb, gcd
 
 from .contfrac import Rational
-from .lotus import (BASE_PETAL, Lotus, Petal, _lotus, lateral_boundary, lotus_of_slopes,
-                    petal_counts, pinching_points)
+from .frieze import MAX_FRIEZE_ENTRIES
+from .lotus import (BASE_PETAL, E1, E2, Lotus, _lotus, _petal, lateral_boundary,
+                    lotus_of_slopes, petal_counts, pinching_points)
 from .polyparse import Poly2, Term, compact_edges, restrict_to_edge
 
 
@@ -182,24 +183,41 @@ def catalan(n: int) -> int:
 
 def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
     """Every stage of the blowup process: all nonempty parent-closed petal
-    subsets of ``l`` (the full set included), each with its chain graph.
+    subsets of ``l`` (the full set included), each with its chain graph,
+    by decreasing petal count and unmarked.
 
-    Results are ordered by decreasing petal count, unmarked.
+    A stage grows from a smaller one by blowing up boundary edges (u, v)
+    whose petal is in ``l``, left to right, so each stage is made once.
+    Stages of over MAX_FRIEZE_ENTRIES weights in all are refused first.
     """
     if l.is_segment:
         raise ValueError("the segment lotus has no resolutions")
-    # downsets[p]: the parent-closed subsets of the subtree at p that
-    # contain p; a child's apex has the larger coordinate sum, so visiting
-    # petals by decreasing apex sum settles every child before its parent
-    downsets: dict[Petal, list[frozenset[Petal]]] = {}
-    for root in sorted(l.petals, key=lambda p: -sum(p.apex)):
-        sets = [frozenset({root})]
-        for ch in root.children():
-            if ch in l.petals:
-                part = [frozenset()] + downsets.pop(ch)
-                sets = [s | extra for s in sets for extra in part]
-        downsets[root] = sets
-
-    out = [(sub, graph_of_lotus(sub)) for sub in map(_lotus, downsets[BASE_PETAL])]
+    # for the subtree at a petal, n counts its stages and w their weights;
+    # a child c multiplies the choices by 1 + n_c.  A child's apex has the
+    # larger coordinate sum, so petals taken by decreasing apex sum meet
+    # every child first.  Capping just above the limit keeps the verdict.
+    cap = MAX_FRIEZE_ENTRIES + 1
+    sizes = {}
+    for p in sorted(l.petals, key=lambda p: -sum(p.apex)):
+        n = w = 1
+        for ch in p.children():
+            if ch in sizes:
+                nc, wc = sizes.pop(ch)
+                n, w = min(n * (1 + nc), cap), min(w * (1 + nc) + n * wc, cap)
+        sizes[p] = n, w
+    if sizes[BASE_PETAL][1] > MAX_FRIEZE_ENTRIES:
+        raise ValueError(f"the partial resolutions would have over "
+                         f"{MAX_FRIEZE_ENTRIES} weights in all")
+    out = []
+    work = [(frozenset(), [E1, E2], 0)]
+    while work:
+        petals, chain, start = work.pop()
+        if petals:
+            weights = tuple(-c for c in petal_counts(chain))
+            out.append((_lotus(petals), ResolutionGraph(weights)))
+        for k in range(start, len(chain) - 1):
+            p = _petal(chain[k], chain[k + 1])
+            if p in l.petals:
+                work.append((petals | {p}, chain[:k + 1] + [p.apex] + chain[k + 1:], k))
     out.sort(key=lambda pair: (-len(pair[0].petals), pair[1].weights))
     return out

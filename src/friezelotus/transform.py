@@ -76,8 +76,8 @@ def _subpolygon(p: TriangulatedPolygon, labels: list[int], cut: Diagonal) -> Tri
 
 
 def reduction_chain(l: Lotus) -> list[ReductionResult]:
-    """One cut per diagonal of the lotus polygon, i.e. one per proper
-    partial resolution, largest kept piece first."""
+    """One cut per diagonal of the lotus polygon, largest kept piece first:
+    the proper stages that drop one whole subtree of petals each."""
     poly, _ = polygon_of_lotus(l)
     cuts = [reduce(poly, d) for d in sorted(poly.diagonals)]
     cuts.sort(key=lambda r: (-r.polygon.m, r.quiddity))

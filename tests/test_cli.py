@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import time
+from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -221,6 +222,31 @@ def test_frieze_entry_ceiling(capsys):
             f"over the limit of {MAX_FRIEZE_ENTRIES}\n")
 
 
+def _slopes_up_to(most: int) -> str:
+    return ",".join(f"{n}/{q}" for n in range(1, most + 1) for q in range(1, most + 1)
+                    if gcd(n, q) == 1)
+
+
+def test_partials_are_held_to_the_entry_ceiling(capsys, monkeypatch):
+    # the 43 slopes n/q with n, q <= 8 give 9 840 769 stages holding
+    # 252 970 817 weights; the refusal comes before any stage is built
+    start = time.perf_counter()
+    assert run(["partials", "--slopes", _slopes_up_to(8)]) == (1, "")
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: the partial resolutions would have over {MAX_FRIEZE_ENTRIES} "
+        "weights in all\n")
+    # the 23 slopes with n, q <= 6 give 6 724 stages holding 90 856 weights
+    import friezelotus.resolution as resolution_module
+    monkeypatch.setattr(resolution_module, "MAX_FRIEZE_ENTRIES", 90_856)
+    code, out = run(["partials", "--slopes", _slopes_up_to(6)])
+    assert code == 0 and out.count("\n") == 6_724
+    assert sum(len(line.split()) for line in out.splitlines()) == 90_856
+    monkeypatch.setattr(resolution_module, "MAX_FRIEZE_ENTRIES", 90_855)
+    assert run(["partials", "--slopes", _slopes_up_to(6)]) == (1, "")
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_count_refused_before_it_is_computed(capsys):
     limit = sys.get_int_max_str_digits()
     for argv in (["count", "10000000"], ["count", "10000000", "--json"]):
@@ -378,6 +404,7 @@ def _argvs(draw):
 @example(["frieze", "--rational", "3/2", "--periods", "1000000000"], "")
 @example(["render", "--rational", "3/2", "--format", "svg", "--scale", "1e308"], "")
 @example(["render", "--rational", "121393/75025", "--format", "svg", "--grid"], "")
+@example(["partials", "--slopes", _slopes_up_to(8)], "")
 def test_cli_contract_holds_on_random_invocations(argv, stdin_text):
     # exit 0, 1 or 2, never an escaping exception, and a domain error is
     # exactly one line on stderr

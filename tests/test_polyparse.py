@@ -92,6 +92,25 @@ def test_compact_edges_monomial_and_dominated_points():
     assert compact_edges({(2, 0), (3, 1), (2, 5)}) == []
 
 
+def compact_edges_by_pairwise_filter(support: set) -> list:
+    """Reference hull: keep the points no other point dominates, comparing
+    every pair, then build the staircase hull over them."""
+    minimal = sorted(p for p in support
+                     if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in support))
+    hull = [minimal[0]]
+    for p in minimal[1:]:
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  - (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])) <= 0:
+            hull.pop()
+        hull.append(p)
+    return list(zip(hull, hull[1:]))
+
+
+@given(st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40))
+def test_compact_edges_sweep_matches_the_pairwise_filter(support):
+    assert compact_edges(support) == compact_edges_by_pairwise_filter(support)
+
+
 def test_restrict_to_edge_cusp():
     f = parse_poly("x^3 - y^2")
     assert restrict_to_edge(f, ((0, 2), (3, 0))) == (-1, 1)

@@ -281,10 +281,23 @@ def partials_by_parent_map(l: Lotus) -> list:
 
 
 def test_partials_match_the_parent_map_enumeration():
-    lotuses = random_products(40, 9, seed=7) + [lotus_of_slope(Rational(11, 8))]
+    # products of 1-4 slopes, and of 0 or infinity with 1-3 slopes
+    rng = random.Random(13)
+    with_axes = [lotus_of_slopes([rng.choice((Rational(0), Rational.infinity()))]
+                                 + [Rational(rng.randint(1, 9), rng.randint(1, 9))
+                                    for _ in range(rng.randint(1, 3))])
+                 for _ in range(40)]
+    lotuses = (random_products(40, 9, seed=7) + [lotus_of_slope(Rational(11, 8))]
+               + with_axes)
     assert max(len(partials_by_parent_map(l)) for l in lotuses) >= 100
     for l in lotuses:
         assert partial_resolutions(l) == partials_by_parent_map(l.unmarked())
+    # a 1001-petal chain: its stages are its prefixes
+    l = lotus_of_slope(Rational(1001, 1000))
+    pairs = partial_resolutions(l)
+    assert [len(sub.petals) for sub, _ in pairs] == list(range(1001, 0, -1))
+    for sub, g in pairs[::50]:
+        assert sub.petals <= l.petals and g == graph_of_lotus(Lotus(sub.petals))
 
 
 def test_weight_sum_counts_incidences():

@@ -1,18 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
 
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
-from friezelotus.lotus import lotus_of_polygon, lotus_of_slope, polygon_of_lotus
+from friezelotus.lotus import (lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
+                               polygon_of_lotus)
 from friezelotus.polygon import (enumerate_triangulations, flip_quadrilateral,
                                  make_polygon, quiddity_of)
 from friezelotus.polyparse import parse_poly
-from friezelotus.resolution import curve_of_lotus, lotus_of_poly, partial_resolutions
+from friezelotus.resolution import (curve_of_lotus, graph_of_lotus, lotus_of_poly,
+                                    partial_resolutions)
 from friezelotus.transform import (base_side_petals, mutate_lotus, quad_type,
                                    reduce, reduction_chain)
 
-from conftest import petal_of_triangle, random_triangulation
+from conftest import coprime_pairs, petal_of_triangle, random_triangulation
 
 
 def test_reduce_square_leaves_triangle():
@@ -84,16 +87,36 @@ def test_reduction_chain_running():
         (2, 3, 1, 2, 4), (2, 2, 1, 4), (2, 1, 3), (1, 2), (1,)]
 
 
+def cut_and_stage_quiddities(l) -> tuple[Counter, Counter]:
+    """Quiddities of the reduction chain's kept pieces, and of the proper
+    stages' own polygons; every stage's graph is checked on the way."""
+    stages = Counter()
+    for sub, g in partial_resolutions(l):
+        assert g == graph_of_lotus(sub)
+        if len(sub.petals) < len(l.petals):
+            stages[quiddity_of(polygon_of_lotus(sub)[0])] += 1
+    return Counter(r.quiddity for r in reduction_chain(l)), stages
+
+
 def test_reduction_chain_matches_proper_partials():
-    # each cut keeps a sublotus; its interior quiddity equals the negated
-    # weights (in boundary order from (0,1)) of the matching partial graph
-    for value in (Rational(11, 8), Rational(3, 2), Rational(7, 4), Rational(9, 2)):
-        l = lotus_of_slope(value)
-        partial_chains = {tuple(-w for w in reversed(g.weights))
-                          for sub, g in partial_resolutions(l)
-                          if len(sub.petals) < len(l.petals)}
-        cut_chains = {r.quiddity[1:-1] for r in reduction_chain(l)}
-        assert cut_chains == partial_chains
+    # two independent paths: each cut's quiddity is read off frieze entries,
+    # each stage's off its own petals.  A single slope's proper stages are
+    # its chain prefixes, one per diagonal; a product also has stages that
+    # drop more than one subtree, which no single cut keeps.
+    singles = [Rational(a, b) for n, q in coprime_pairs(39) for a, b in ((n, q), (q, n))]
+    assert len(singles) == 946
+    for value in singles:
+        cuts, stages = cut_and_stage_quiddities(lotus_of_slope(value))
+        assert cuts == stages
+    rng = random.Random(11)
+    strict = 0
+    for _ in range(300):
+        l = lotus_of_slopes({Rational(rng.randint(1, 12), rng.randint(1, 12))
+                             for _ in range(rng.randint(2, 3))})
+        cuts, stages = cut_and_stage_quiddities(l)
+        assert cuts <= stages
+        strict += cuts != stages
+    assert strict > 150
 
 
 def test_reduction_chain_base_petal_is_empty():
