@@ -23,10 +23,10 @@ from collections.abc import Sequence
 
 from . import __version__
 from .contfrac import Rational, hj_expand, kidoh_dual
-from .frieze import Frieze, frieze_from_quiddity, frieze_of_triangulation
+from .frieze import Frieze, frieze_from_quiddity
 from .lotus import (Lotus, Petal, embed_polygon, lotus_of_polygon,
                     lotus_of_slope, lotus_of_slopes, polygon_of_lotus)
-from .polygon import polygon_from_quiddity, polygon_of_cf
+from .polygon import polygon_from_quiddity, quiddity_of
 from .polyparse import parse_poly
 from .render import RenderOptions, render_frieze_text, render_graph_dot, render_lotus_svg
 from .resolution import (ResolutionGraph, count_resolution_graphs,
@@ -201,12 +201,10 @@ def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
 def _frieze_from_args(args, stdin_text: str | None) -> Frieze:
     if getattr(args, "quiddity", None):
         return frieze_from_quiddity(_parse_quiddity(args.quiddity))
+    q = quiddity_of(polygon_of_lotus(_lotus_from_args(args, stdin_text))[0])
     if getattr(args, "rational", None):
-        value = Rational.parse(args.rational)
-        return frieze_of_triangulation(polygon_of_cf(hj_expand(value)))
-    lotus = _lotus_from_args(args, stdin_text)
-    poly, _ = polygon_of_lotus(lotus)
-    return frieze_of_triangulation(poly)
+        q = q[-1:] + q[:-1]  # a slope's frieze starts at (1,0), the lotus's last vertex
+    return frieze_from_quiddity(q)
 
 
 # ---------------------------------------------------------------------------

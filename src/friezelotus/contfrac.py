@@ -16,8 +16,9 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from math import gcd
 
-# Ceiling on a slope's polygon (petal count + 2), checked before anything is
-# built; it is well above every benchmark size and admits the slope 100000/1.
+# Ceiling on sizes read off an input before anything is built: a slope's
+# polygon (petal count + 2) and a polynomial's compact Newton edge length.
+# It is well above every benchmark size and admits the slope 100000/1.
 MAX_VERTICES = 1_000_000
 
 
@@ -33,7 +34,8 @@ class Rational:
 
     def __init__(self, num: int, den: int = 1):
         if den == 0:
-            raise ValueError("denominator must be >= 1 (use Rational.infinity())")
+            raise ValueError("denominator must be >= 1 (write the infinite slope "
+                             "as inf, or Rational.infinity())")
         if num < 0 or den < 0:
             raise ValueError("negative slopes are not supported")
         g = gcd(num, den)
@@ -90,11 +92,10 @@ class Rational:
             return cls.infinity()
         num, sep, den = s.partition("/")
         try:
-            if sep:
-                return cls(int(num), int(den))
-            return cls(int(s))
+            num, den = int(num), int(den) if sep else 1
         except ValueError as exc:
             raise ValueError(f"not a rational: {text!r}") from exc
+        return cls(num, den)
 
 
 INFINITY = Rational.infinity()

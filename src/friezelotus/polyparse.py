@@ -224,11 +224,15 @@ def restrict_to_edge(f: Poly2, edge: tuple[Term, Term]) -> tuple[int, ...]:
     if f.is_zero:
         raise ValueError("the zero polynomial has no Newton polyhedron")
     pair = tuple(sorted(edge))
-    edges = {tuple(sorted(e)) for e in compact_edges(f.support())}
-    if pair not in edges:
+    if pair not in compact_edges(f.support()):
         raise ValueError(f"{edge} is not a compact edge of the Newton polyhedron")
-    (x0, y0), (x1, y1) = pair
+    return _edge_coefficients(f, pair)
+
+
+def _edge_coefficients(f: Poly2, edge: tuple[Term, Term]) -> tuple[int, ...]:
+    """:func:`restrict_to_edge` for a compact edge, left endpoint first."""
+    (x0, y0), (x1, y1) = edge
     dx, dy = x1 - x0, y1 - y0
-    steps = gcd(abs(dx), abs(dy))
+    steps = gcd(dx, dy)
     sx, sy = dx // steps, dy // steps
     return tuple(f.terms.get((x0 + k * sx, y0 + k * sy), 0) for k in range(steps + 1))

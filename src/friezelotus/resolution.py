@@ -13,11 +13,11 @@ from collections import namedtuple
 from collections.abc import Sequence
 from math import comb, gcd
 
-from .contfrac import Rational
+from .contfrac import MAX_VERTICES, Rational
 from .frieze import MAX_FRIEZE_ENTRIES
 from .lotus import (BASE_PETAL, E1, E2, Lotus, _lotus, _petal, lateral_boundary,
                     lotus_of_slopes, petal_counts, pinching_points)
-from .polyparse import Poly2, Term, compact_edges, restrict_to_edge
+from .polyparse import Poly2, Term, _edge_coefficients, compact_edges
 
 
 class ResolutionGraph(namedtuple("ResolutionGraph", "weights arrows")):
@@ -114,11 +114,17 @@ def lotus_of_poly(f: Poly2) -> Lotus:
 
 def is_newton_nondegenerate(f: Poly2) -> bool:
     """True iff every compact-edge restriction is square-free with nonzero
-    constant term (so it cuts out a smooth curve off the axes)."""
+    constant term (so it cuts out a smooth curve off the axes).  Edges of
+    total lattice length over MAX_VERTICES are refused first."""
     if f.is_zero:
         raise ValueError("the zero polynomial is excluded")
-    for edge in compact_edges(f.support()):
-        g = restrict_to_edge(f, edge)
+    edges = compact_edges(f.support())
+    length = sum(gcd(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in edges)
+    if length > MAX_VERTICES:
+        raise ValueError(f"the compact Newton edges have lattice length {length}, "
+                         f"over the limit of {MAX_VERTICES}")
+    for edge in edges:
+        g = _edge_coefficients(f, edge)
         if g[0] == 0 or not _squarefree(g):
             return False
     return True

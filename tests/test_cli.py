@@ -7,9 +7,10 @@ from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
-from friezelotus.cli import run
-from friezelotus.contfrac import MAX_VERTICES
-from friezelotus.frieze import MAX_FRIEZE_ENTRIES
+from friezelotus.cli import frieze_to_json, run
+from friezelotus.contfrac import MAX_VERTICES, Rational, hj_expand
+from friezelotus.frieze import MAX_FRIEZE_ENTRIES, frieze_of_triangulation
+from friezelotus.polygon import polygon_of_cf
 from friezelotus.render import MAX_GRID_LINES
 
 
@@ -167,6 +168,49 @@ def test_frieze_from_stdin_lotus():
     assert doc["quiddity"] == [2, 2, 3, 2, 1, 3, 4, 1]
 
 
+def test_rational_frieze_matches_the_two_eared_polygon():
+    # the frieze of a slope comes from its lotus, labelled from (1,0);
+    # polygon_of_cf builds the same polygon from the expansion and its dual
+    for n in range(2, 40):
+        for q in range(1, n):
+            if gcd(n, q) == 1:
+                code, out = run(["frieze", "--rational", f"{n}/{q}", "--json"])
+                oracle = polygon_of_cf(hj_expand(Rational(n, q)))
+                assert code == 0
+                assert json.loads(out) == frieze_to_json(frieze_of_triangulation(oracle))
+
+
+def test_rational_frieze_at_most_one_reverses_the_inverse_slope():
+    def quiddity(slope):
+        code, out = run(["frieze", "--rational", slope, "--json"])
+        assert code == 0
+        return json.loads(out)["quiddity"]
+
+    for q in range(1, 40):
+        for n in range(1, q + 1):
+            if gcd(n, q) == 1:
+                rev, inverse = quiddity(f"{n}/{q}")[::-1], quiddity(f"{q}/{n}")
+                assert any(rev[k:] + rev[:k] == inverse for k in range(len(rev)))
+    assert run(["frieze", "--rational", "2/3"]) == run(["frieze", "--quiddity", "2,1,3,1,2"])
+    assert run(["render", "--rational", "1/1", "--format", "text"]) == (
+        0, "   0   0   0\n     1   1   1\n       1   1   1\n         0   0   0\n")
+
+
+def test_segment_slopes_have_no_frieze(capsys):
+    for slope in ("0/1", "inf"):
+        assert run(["frieze", "--rational", slope]) == (1, "")
+        assert capsys.readouterr().err == "error: the segment lotus has no polygon\n"
+
+
+def test_slope_rejections_give_their_reason(capsys):
+    for slopes, message in (("1/2,-1/3", "negative slopes are not supported"),
+                            ("1/2,3/0", "denominator must be >= 1 (write the infinite "
+                                        "slope as inf, or Rational.infinity())"),
+                            ("1/2,3/x", "not a rational: '3/x'")):
+        assert run(["lotus", "--slopes", slopes]) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_lotus_from_quiddity_input():
     code, out = run(["lotus", "--quiddity", "1,1,1"])
     assert code == 0
@@ -211,6 +255,15 @@ def test_output_ceiling_rejects_before_building(capsys):
         assert err.startswith(f"error: the slope {slope} gives a polygon of ")
         assert err.endswith(f" vertices, over the limit of {MAX_VERTICES}\n")
         assert err.count("\n") == 1
+
+
+def test_newton_edge_ceiling_rejects_before_restricting(capsys):
+    start = time.perf_counter()
+    assert run(["graph", "--poly", "x^1000001-y^1000001"]) == (1, "")
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: the compact Newton edges have lattice length 1000001, "
+        f"over the limit of {MAX_VERTICES}\n")
 
 
 def test_frieze_entry_ceiling(capsys):
@@ -337,16 +390,36 @@ _LOTUS_INPUTS = ("--slopes", "--rational", "--poly", "--quiddity", "--stdin")
 _COMMANDS = ("hj", "frieze", "embed", "lotus", "graph", "reduce", "mutate",
              "partials", "count", "render")
 
+# sizes past a ceiling, never just under one: 999998/1 passes every check
+# and builds a lotus of 10^6 petals
+_huge = st.integers(10 ** 6 + 1, 10 ** 9)
 _small = st.integers(-2, 12).map(str)
 _rationals = st.one_of(st.builds("{}/{}".format, st.integers(-3, 40), st.integers(-2, 30)),
-                       _small, st.sampled_from(["", "x", "1/0", "0/0", "3//2", "inf"]))
+                       _small, st.sampled_from(["", "x", "1/0", "0/0", "3//2", "inf"]),
+                       st.builds("{}/1".format, _huge), st.builds("1/{}".format, _huge))
 _quiddities = st.one_of(st.lists(st.integers(0, 5), min_size=1, max_size=9).map(
-    lambda q: ",".join(map(str, q))), st.sampled_from(["", ",", "1,,1", "a,b"]))
+    lambda q: ",".join(map(str, q))), st.sampled_from(["", ",", "1,,1", "a,b"]),
+    # over the frieze ceiling, which admits 3 162 vertices
+    st.integers(3163, 3300).map(lambda m: ",".join(["1"] * m)))
 _polys = st.one_of(
     st.lists(st.builds("x^{}{}y^{}".format, st.integers(0, 9), st.sampled_from("+-"),
                        st.integers(0, 9)), min_size=1, max_size=3).map(
         lambda fs: "*".join(f"({f})" for f in fs)),
-    st.sampled_from(["", "x", "x^3 - ", "(x^2-y)*(x^2-y)", "x*y", "2", "x^2+y^2+x*y"]))
+    st.sampled_from(["", "x", "x^3 - ", "(x^2-y)*(x^2-y)", "x*y", "2", "x^2+y^2+x*y"]),
+    st.builds("x^{}-y".format, _huge), st.builds("x^{0}-y^{0}".format, _huge))
+
+
+def _chain_doc(turns) -> str:
+    """A lotus of 1 + len(turns) petals, each a child of the one before."""
+    u, v = (1, 0), (0, 1)
+    petals = [[u, v]]
+    for right in turns:
+        apex = (u[0] + v[0], u[1] + v[1])
+        u, v = (apex, v) if right else (u, apex)
+        petals.append([u, v])
+    return json.dumps({"petals": petals, "marks": [[u[0] + v[0], u[1] + v[1]]]})
+
+
 _points = st.lists(st.integers(-1, 3), min_size=0, max_size=3)
 _lotus_docs = st.one_of(
     st.sampled_from(['{"petals": [[[1, 0], [0, 1]], [[1, 1], [0, 1]]], "marks": [[2, 1]]}',
@@ -356,6 +429,8 @@ _lotus_docs = st.one_of(
                      '{"petals": null}', '{"petals": [[[0, 1], [1, 0]]]}']),
     st.lists(st.lists(_points, max_size=3), max_size=4).map(
         lambda ps: json.dumps({"petals": ps})),
+    st.integers(0, 299).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n, max_size=n)).map(_chain_doc),
     st.text(max_size=20))
 
 

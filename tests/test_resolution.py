@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import friezelotus.polyparse as polyparse_module
+import friezelotus.resolution as resolution_module
 from friezelotus.contfrac import Rational
 from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, lateral_boundary,
                                lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
                                pinching_points, polygon_of_lotus)
 from friezelotus.frieze import frieze_of_triangulation
 from friezelotus.polygon import enumerate_triangulations, quiddity_of
-from friezelotus.polyparse import parse_poly
+from friezelotus.polyparse import compact_edges, parse_poly
 from friezelotus.resolution import (PlaneCurve, ResolutionGraph, _squarefree, catalan,
                                     count_resolution_graphs, curve_of_lotus,
                                     graph_of_lotus, is_newton_nondegenerate,
@@ -118,6 +120,33 @@ def test_binomial_products_are_nondegenerate():
 def test_degenerate_square_factor():
     f = parse_poly("(x^2 - y)*(x^2 - y)")
     assert not is_newton_nondegenerate(f)
+
+
+def test_newton_edges_are_held_to_the_vertex_ceiling(monkeypatch):
+    # (x^2-y^2)(x^4-y^2) has the edges (0,4)-(2,2) and (2,2)-(6,0), each of
+    # lattice length 2; the ceiling bounds their sum
+    f = parse_poly("(x^2-y^2)*(x^4-y^2)")
+    monkeypatch.setattr(resolution_module, "MAX_VERTICES", 4)
+    assert is_newton_nondegenerate(f)
+    monkeypatch.setattr(resolution_module, "MAX_VERTICES", 3)
+    for g, length in ((f, 4), (parse_poly("x^4-y^4"), 4)):
+        with pytest.raises(ValueError, match=f"lattice length {length}, over the limit of 3"):
+            is_newton_nondegenerate(g)
+    assert is_newton_nondegenerate(parse_poly("x^3-y^3"))
+
+
+def test_nondegeneracy_builds_the_hull_once(monkeypatch):
+    calls = []
+
+    def counted(support):
+        calls.append(support)
+        return compact_edges(support)
+
+    monkeypatch.setattr(resolution_module, "compact_edges", counted)
+    monkeypatch.setattr(polyparse_module, "compact_edges", counted)
+    f = PlaneCurve(((5, 2), (3, 1), (1, 1))).polynomial()
+    assert is_newton_nondegenerate(f)
+    assert len(calls) == 1 and len(compact_edges(f.support())) == 3
 
 
 def test_count_formula_small():
