@@ -64,9 +64,13 @@ def run(argv: Sequence[str], stdin_text: str | None = None) -> tuple[int, str]:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, ""
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+    if args.out is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1, ""
         return 0, ""
     return 0, output
 
@@ -84,41 +88,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_hj)
 
     p = sub.add_parser("frieze", help="build and print a frieze")
-    _input_opts(p, quiddity=True, rational=True, poly=True, stdin=True)
+    _input_opts(p)
     p.add_argument("--periods", type=int, default=1, help="periods in the text grid")
     _common(p)
     p.set_defaults(handler=_cmd_frieze)
 
     p = sub.add_parser("embed", help="embed a quiddity into the lattice")
-    _input_opts(p, quiddity=True)
+    p.add_argument("--quiddity", required=True, help="comma-separated quiddity")
     p.add_argument("-k", type=int, default=0, help="quiddity position placed at (0,1)")
     _common(p)
     p.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("lotus", help="petal chain of slopes or a polynomial")
-    _input_opts(p, slopes=True, rational=True, poly=True, quiddity=True, stdin=True)
+    _input_opts(p)
     _common(p)
     p.set_defaults(handler=_cmd_lotus)
 
     p = sub.add_parser("graph", help="dual resolution graph")
-    _input_opts(p, slopes=True, rational=True, poly=True, quiddity=True, stdin=True)
+    _input_opts(p)
     _common(p)
     p.set_defaults(handler=_cmd_graph)
 
     p = sub.add_parser("reduce", help="cut the polygon along a diagonal")
-    _input_opts(p, slopes=True, rational=True, poly=True, quiddity=True, stdin=True)
+    _input_opts(p)
     p.add_argument("--diagonal", required=True, help="diagonal i,j (vertex labels)")
     _common(p)
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("mutate", help="flip a diagonal and re-embed the lotus")
-    _input_opts(p, slopes=True, rational=True, poly=True, quiddity=True, stdin=True)
+    _input_opts(p)
     p.add_argument("--diagonal", required=True, help="diagonal i,j (vertex labels)")
     _common(p)
     p.set_defaults(handler=_cmd_mutate)
 
     p = sub.add_parser("partials", help="all partial resolutions")
-    _input_opts(p, slopes=True, rational=True, poly=True, quiddity=True, stdin=True)
+    _input_opts(p)
     _common(p)
     p.set_defaults(handler=_cmd_partials)
 
@@ -128,13 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("render", help="emit SVG, DOT, or a frieze grid")
-    _input_opts(p, slopes=True, rational=True, poly=True, quiddity=True, stdin=True)
+    _input_opts(p)
     p.add_argument("--format", choices=("svg", "dot", "text"), required=True)
     p.add_argument("--periods", type=int, default=1)
     p.add_argument("--scale", type=float, default=40.0)
     p.add_argument("--grid", action="store_true", help="draw lattice grid lines (svg)")
     p.add_argument("--weights", action="store_true", help="label weights (svg)")
-    _common(p)
+    p.add_argument("--out", metavar="FILE", help="write output to FILE")
     p.set_defaults(handler=_cmd_render)
 
     return parser
@@ -145,20 +149,14 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
-def _input_opts(p: argparse.ArgumentParser, *, quiddity=False, rational=False,
-                slopes=False, poly=False, stdin=False) -> None:
+def _input_opts(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
-    if quiddity:
-        group.add_argument("--quiddity", help="comma-separated quiddity, e.g. 1,2,2,3,2,1,3,4")
-    if rational:
-        group.add_argument("--rational", help="slope n/q")
-    if slopes:
-        group.add_argument("--slopes", help="comma-separated slopes, e.g. 3/2,2/1")
-    if poly:
-        group.add_argument("--poly", help="polynomial, e.g. \"x^3-y^2\"")
-    if stdin:
-        group.add_argument("--stdin", action="store_true",
-                           help="read a lotus JSON document from stdin")
+    group.add_argument("--quiddity", help="comma-separated quiddity, e.g. 1,2,2,3,2,1,3,4")
+    group.add_argument("--rational", help="slope n/q")
+    group.add_argument("--slopes", help="comma-separated slopes, e.g. 3/2,2/1")
+    group.add_argument("--poly", help="polynomial, e.g. \"x^3-y^2\"")
+    group.add_argument("--stdin", action="store_true",
+                       help="read a lotus JSON document from stdin")
 
 
 # ---------------------------------------------------------------------------
@@ -181,28 +179,27 @@ def _parse_diagonal(text: str) -> tuple[int, int]:
 
 
 def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
-    if getattr(args, "stdin", False):
+    # the input group is required, so exactly one of these options is set
+    if args.stdin:
         return lotus_from_json(stdin_text if stdin_text is not None else sys.stdin.read())
-    if getattr(args, "slopes", None):
+    if args.slopes is not None:
         return lotus_of_slopes(Rational.parse(s) for s in args.slopes.split(","))
-    if getattr(args, "rational", None):
+    if args.rational is not None:
         return lotus_of_slope(Rational.parse(args.rational))
-    if getattr(args, "poly", None):
+    if args.poly is not None:
         f = parse_poly(args.poly)
         if not is_newton_nondegenerate(f):
             raise ValueError(f"{args.poly!r} is degenerate: a compact-edge restriction "
                              "is not square-free away from the axes")
         return lotus_of_poly(f)
-    if getattr(args, "quiddity", None):
-        return lotus_of_polygon(polygon_from_quiddity(_parse_quiddity(args.quiddity)), 0)
-    raise ValueError("no lotus input given")
+    return lotus_of_polygon(polygon_from_quiddity(_parse_quiddity(args.quiddity)), 0)
 
 
 def _frieze_from_args(args, stdin_text: str | None) -> Frieze:
-    if getattr(args, "quiddity", None):
+    if args.quiddity is not None:
         return frieze_from_quiddity(_parse_quiddity(args.quiddity))
     q = quiddity_of(polygon_of_lotus(_lotus_from_args(args, stdin_text))[0])
-    if getattr(args, "rational", None):
+    if args.rational is not None:
         q = q[-1:] + q[:-1]  # a slope's frieze starts at (1,0), the lotus's last vertex
     return frieze_from_quiddity(q)
 

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
 from .frieze import frieze_from_quiddity
-from .polygon import Triangle, TriangulatedPolygon, quiddity_of
+from .polygon import Diagonal, TriangulatedPolygon, quiddity_of
 
 Point = tuple[int, int]
 
@@ -217,18 +217,19 @@ def _embed(q: tuple[int, ...], k: int) -> list[Point]:
 
 def petals_of_embedding(p: TriangulatedPolygon, verts: Sequence[Point],
                         k: int = 0) -> frozenset[Petal]:
-    """Map each triangle of ``p`` to the petal it spans under the placement
-    ``verts`` produced with anchor ``k`` (the embedding lists the vertices
-    starting from polygon vertex k+1, so labels are rotated by k)."""
-    return frozenset(_triangle_petal(verts, tri, k) for tri in p.triangles)
+    """The petals of ``p`` under the placement ``verts`` produced with
+    anchor ``k`` (the embedding lists the vertices starting from polygon
+    vertex k+1, so labels are rotated by k): the base petal on the chord
+    that the rotation puts at [1, m], and one petal on each diagonal."""
+    return frozenset([BASE_PETAL, *(_chord_petal(verts, d, k) for d in p.diagonals)])
 
 
-def _triangle_petal(verts: Sequence[Point], tri: Triangle, k: int = 0) -> Petal:
-    """The petal of a triangle, read off its labels rotated by ``k``: the
-    triangle lo < mid < hi has its base on the chord [lo, hi] and its apex
-    at mid, so its petal is (vertex hi, vertex lo).  This is the one place
-    where a petal's orientation is decided."""
-    lo, _, hi = sorted((t - 1 - k) % len(verts) for t in tri)
+def _chord_petal(verts: Sequence[Point], chord: Diagonal, k: int = 0) -> Petal:
+    """The petal on a chord, read off its labels rotated by ``k``: the chord
+    lo < hi is the base of the one triangle whose apex lies between them,
+    and that triangle's petal is (vertex hi, vertex lo).  This is the one
+    place where a petal's orientation is decided."""
+    lo, hi = sorted((t - 1 - k) % len(verts) for t in chord)
     return _petal(verts[hi], verts[lo])
 
 

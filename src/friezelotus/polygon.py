@@ -8,72 +8,46 @@ index t holding the count at vertex t+1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from .contfrac import hj_evaluate, kidoh_dual
 
 Diagonal = tuple[int, int]
-Triangle = tuple[int, int, int]
 
 MAX_ENUM_VERTICES = 16
 
 
-class TriangulatedPolygon:
+class TriangulatedPolygon(namedtuple("TriangulatedPolygon", "m diagonals")):
     """Triangulation of the m-gon by its inner diagonals.
 
-    Construction validates the diagonals and records ``triangles``, the m-2
-    vertex-sorted triangles in pre-order from the edge [1, m]; every other
-    function reads them rather than deriving them again.  Equality and hash
-    depend on (m, diagonals) only.
+    The diagonals are the whole triangulation: every triangle, apex and
+    count is read off them.  Construction checks that they triangulate the
+    m-gon.
     """
 
-    __slots__ = ("m", "diagonals", "triangles")
+    __slots__ = ()
 
-    def __init__(self, m: int, diagonals: frozenset[Diagonal]):
-        self.m = m
-        self.diagonals = diagonals
-        if self.m < 3:
+    def __new__(cls, m: int, diagonals: frozenset[Diagonal]):
+        if m < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        if len(self.diagonals) != self.m - 3:
-            raise ValueError(f"a triangulated {self.m}-gon has {self.m - 3} diagonals, "
-                             f"got {len(self.diagonals)}")
-        for d in self.diagonals:
-            if not _is_inner(d, self.m):
-                raise ValueError(f"{d} is not an inner diagonal of the {self.m}-gon")
-        # higher[v]: the vertices after v joined to it by an edge or diagonal
-        higher: list[list[int]] = [[v + 1] for v in range(self.m + 1)]
-        for i, j in self.diagonals:
-            higher[i].append(j)
-        for nbrs in higher:
-            nbrs.sort()
-        # m-3 distinct inner diagonals triangulate the m-gon exactly when
-        # this walk finds a triangle on every chord it reaches
-        out: list[Triangle] = []
-        stack = [(1, self.m)]
-        while stack:
-            lo, hi = stack.pop()
-            if hi - lo < 2:
-                continue
-            nbrs = higher[lo]
-            k = nbrs[bisect_left(nbrs, hi) - 1]
-            if hi - k > 1 and (k, hi) not in self.diagonals:
-                raise ValueError(f"no triangle on chord ({lo},{hi}); not a triangulation")
-            out.append((lo, k, hi))
-            stack.append((k, hi))
-            stack.append((lo, k))
-        self.triangles = tuple(out)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.m == other.m and self.diagonals == other.diagonals
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.diagonals))
-
-    def __repr__(self) -> str:
-        return f"TriangulatedPolygon(m={self.m!r}, diagonals={self.diagonals!r})"
+        if len(diagonals) != m - 3:
+            raise ValueError(f"a triangulated {m}-gon has {m - 3} diagonals, "
+                             f"got {len(diagonals)}")
+        for d in diagonals:
+            if not _is_inner(d, m):
+                raise ValueError(f"{d} is not an inner diagonal of the {m}-gon")
+        # m-3 pairwise noncrossing inner diagonals triangulate the m-gon.
+        # Swept by left end, longest first, the open chords nest, so a chord
+        # crosses one of them exactly when it ends beyond the innermost
+        opened: list[Diagonal] = []
+        for d in sorted(diagonals, key=lambda d: (d[0], -d[1])):
+            while opened and opened[-1][1] <= d[0]:
+                opened.pop()
+            if opened and d[1] > opened[-1][1]:
+                raise ValueError(f"diagonals {opened[-1]} and {d} cross; not a triangulation")
+            opened.append(d)
+        return tuple.__new__(cls, (m, diagonals))
 
 
 def make_polygon(m: int, diagonals) -> TriangulatedPolygon:
@@ -98,11 +72,12 @@ def diagonals_cross(d1: Diagonal, d2: Diagonal, m: int) -> bool:
 
 
 def quiddity_of(p: TriangulatedPolygon) -> tuple[int, ...]:
-    """Per-vertex incident-triangle counts, read from vertex 1."""
-    counts = [0] * p.m
-    for tri in p.triangles:
-        for v in tri:
-            counts[v - 1] += 1
+    """Per-vertex incident-triangle counts, read from vertex 1: one more
+    than the number of diagonals at each vertex."""
+    counts = [1] * p.m
+    for i, j in p.diagonals:
+        counts[i - 1] += 1
+        counts[j - 1] += 1
     return tuple(counts)
 
 
@@ -159,18 +134,25 @@ def polygon_of_cf(terms: Sequence[int]) -> TriangulatedPolygon:
 def flip(p: TriangulatedPolygon, d: Diagonal) -> TriangulatedPolygon:
     """Replace diagonal d by the opposite diagonal of its quadrilateral."""
     i, j, k, l = flip_quadrilateral(p, d)
-    return TriangulatedPolygon(p.m, (p.diagonals - {(i, j)}) | {(min(k, l), max(k, l))})
+    return TriangulatedPolygon(p.m, (p.diagonals - {(i, j)}) | {(k, l)})
 
 
 def flip_quadrilateral(p: TriangulatedPolygon, d: Diagonal) -> tuple[int, int, int, int]:
     """Vertices (i, j, k, l) of the quadrilateral of diagonal d = (i, j),
-    where k, l are the apexes of its two triangles."""
+    where k < l are the apexes of its two triangles: the two vertices
+    joined to both i and j by an edge or a diagonal."""
     d = (min(d), max(d))
     if d not in p.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
-    apexes = [v for tri in p.triangles if d[0] in tri and d[1] in tri
-              for v in tri if v not in d]
-    return d[0], d[1], apexes[0], apexes[1]
+    i, j = d
+    nbrs = {v: {v % p.m + 1, (v - 2) % p.m + 1} for v in d}
+    for a, b in p.diagonals:
+        if a in nbrs:
+            nbrs[a].add(b)
+        if b in nbrs:
+            nbrs[b].add(a)
+    k, l = sorted(nbrs[i] & nbrs[j])
+    return i, j, k, l
 
 
 def enumerate_triangulations(m: int) -> list[TriangulatedPolygon]:

@@ -7,7 +7,7 @@ already sits inside the full frieze.  Mutation flips a diagonal and
 re-embeds the new triangulation with vertex 1 back at (0,1).
 
 Mutation data are read off the polygon's labels, never searched for in the
-lattice: a triangle's labels fix its petal (see ``lotus._triangle_petal``),
+lattice: a chord's labels fix the petal on it (see ``lotus._chord_petal``),
 and a quadrilateral's labels fix its type and its base side.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .frieze import entry_by_continuant
-from .lotus import Lotus, _triangle_petal, lotus_of_polygon, polygon_of_lotus
+from .lotus import Lotus, _chord_petal, lotus_of_polygon, polygon_of_lotus
 from .polygon import Diagonal, TriangulatedPolygon, flip, flip_quadrilateral, quiddity_of
 
 
@@ -108,8 +108,8 @@ def quad_type(l: Lotus, d: Diagonal) -> int:
     and the type is 1 exactly when c < i.
     """
     poly, _ = polygon_of_lotus(l)
-    i, j, k1, k2 = flip_quadrilateral(poly, d)
-    return 1 if min(k1, k2) < i else 2
+    i, _, k, _ = flip_quadrilateral(poly, d)
+    return 1 if k < i else 2
 
 
 def base_side_petals(l: Lotus, d: Diagonal) -> frozenset:
@@ -117,10 +117,11 @@ def base_side_petals(l: Lotus, d: Diagonal) -> frozenset:
     except the two quadrilateral petals and the parts hanging off its three
     non-base-side edges.  This set is preserved by mutation.
 
-    They are the petals of the triangles reaching outside the labels
-    [min(quad), max(quad)], the side of the quadrilateral facing [1, m]."""
+    They are the petals on the chords (the diagonals and [1, m]) reaching
+    outside the labels [min(quad), max(quad)], the side of the
+    quadrilateral facing [1, m]."""
     poly, verts = polygon_of_lotus(l)
     quad = flip_quadrilateral(poly, d)
     lo, hi = min(quad), max(quad)
-    return frozenset(_triangle_petal(verts, tri) for tri in poly.triangles
-                     if tri[0] < lo or tri[2] > hi)
+    return frozenset(_chord_petal(verts, c) for c in poly.diagonals | {(1, poly.m)}
+                     if c[0] < lo or c[1] > hi)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -66,6 +67,32 @@ def random_triangulation(m: int, rng: random.Random) -> TriangulatedPolygon:
 
     split(1, m)
     return TriangulatedPolygon(m, frozenset(diagonals))
+
+
+def triangles_of(t: TriangulatedPolygon) -> tuple[tuple[int, int, int], ...]:
+    """The m-2 vertex-sorted triangles of ``t`` in pre-order from the edge
+    [1, m], by a walk that finds the apex on each chord it reaches as the
+    highest neighbour of its lower end below its upper end."""
+    # higher[v]: the vertices after v joined to it by an edge or diagonal
+    higher: list[list[int]] = [[v + 1] for v in range(t.m + 1)]
+    for i, j in t.diagonals:
+        higher[i].append(j)
+    for nbrs in higher:
+        nbrs.sort()
+    out = []
+    stack = [(1, t.m)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        nbrs = higher[lo]
+        k = nbrs[bisect_left(nbrs, hi) - 1]
+        if hi - k > 1 and (k, hi) not in t.diagonals:
+            raise ValueError(f"no triangle on chord ({lo},{hi}); not a triangulation")
+        out.append((lo, k, hi))
+        stack.append((k, hi))
+        stack.append((lo, k))
+    return tuple(out)
 
 
 def incidence_counts(l) -> dict:

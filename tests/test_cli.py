@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from friezelotus.cli import frieze_to_json, run
 from friezelotus.contfrac import MAX_VERTICES, Rational, hj_expand
-from friezelotus.frieze import MAX_FRIEZE_ENTRIES, frieze_of_triangulation
-from friezelotus.polygon import polygon_of_cf
+from friezelotus.frieze import MAX_FRIEZE_ENTRIES, frieze_from_quiddity, frieze_of_triangulation
+from friezelotus.lotus import lotus_of_slopes, polygon_of_lotus
+from friezelotus.polygon import polygon_of_cf, quiddity_of
 from friezelotus.render import MAX_GRID_LINES
 
 
@@ -125,6 +126,13 @@ def test_render_svg_to_file(tmp_path):
     assert target.read_text().startswith("<?xml")
 
 
+def test_out_path_that_cannot_be_written(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        assert run(["hj", "11/8", "--out", str(target)]) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_render_dot_and_text():
     code, out = run(["render", "--rational", "3/2", "--format", "dot"])
     assert "graph resolution" in out
@@ -150,6 +158,8 @@ def test_usage_errors_exit_2(capsys):
     code, _ = run(["frieze"])
     assert code == 2
     code, _ = run(["graph", "--poly", "x", "--rational", "2/1"])
+    assert code == 2
+    code, _ = run(["render", "--rational", "3/2", "--format", "dot", "--json"])
     assert code == 2
     capsys.readouterr()
 
@@ -209,6 +219,24 @@ def test_slope_rejections_give_their_reason(capsys):
                             ("1/2,3/x", "not a rational: '3/x'")):
         assert run(["lotus", "--slopes", slopes]) == (1, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_empty_option_values_reach_their_parser(capsys):
+    for argv, message in (
+            (["frieze", "--rational="], "not a rational: ''"),
+            (["graph", "--slopes="], "not a rational: ''"),
+            (["lotus", "--poly="], "expected a number, 'x', 'y' or '(' at position 0"),
+            (["frieze", "--quiddity="], "bad quiddity '': comma-separated integers expected")):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_frieze_of_slopes_is_the_frieze_of_their_lotus_polygon():
+    l = lotus_of_slopes([Rational(3, 2), Rational(2, 1)])
+    q = quiddity_of(polygon_of_lotus(l)[0])
+    code, out = run(["frieze", "--slopes", "3/2,2/1", "--json"])
+    assert code == 0
+    assert json.loads(out) == frieze_to_json(frieze_from_quiddity(q))
 
 
 def test_lotus_from_quiddity_input():
@@ -381,12 +409,7 @@ def test_svg_grid_is_held_to_a_line_ceiling(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # fuzzing the command-line contract over the real grammar
 
-_INPUTS = {
-    "frieze": ("--quiddity", "--rational", "--poly", "--stdin"),
-    "embed": ("--quiddity",),
-    "render": ("--slopes", "--rational", "--poly", "--quiddity", "--stdin"),
-}
-_LOTUS_INPUTS = ("--slopes", "--rational", "--poly", "--quiddity", "--stdin")
+_INPUTS = ("--slopes", "--rational", "--poly", "--quiddity", "--stdin")
 _COMMANDS = ("hj", "frieze", "embed", "lotus", "graph", "reduce", "mutate",
              "partials", "count", "render")
 
@@ -443,7 +466,7 @@ def _argvs(draw):
     elif command == "count":
         argv.append(draw(st.one_of(st.integers(-2, 60).map(str), st.just("x"))))
     else:
-        flag = draw(st.sampled_from(_INPUTS.get(command, _LOTUS_INPUTS)))
+        flag = "--quiddity" if command == "embed" else draw(st.sampled_from(_INPUTS))
         value = {"--quiddity": _quiddities, "--rational": _rationals, "--poly": _polys,
                  "--slopes": st.lists(_rationals, min_size=1, max_size=3).map(",".join)}
         argv.append(flag)
@@ -465,7 +488,7 @@ def _argvs(draw):
                 ["40", "0.5", "0", "-1", "nan", "inf", "1e308", "1e-320", "x"]))]
     if command in ("frieze", "render") and draw(st.booleans()):
         argv += ["--periods", draw(_small)]
-    if draw(st.booleans()):
+    if command != "render" and draw(st.booleans()):
         argv.append("--json")
     if draw(st.integers(0, 9)) == 0:  # a stray or missing argument
         argv.insert(draw(st.integers(0, len(argv))),

@@ -13,7 +13,7 @@ from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal,
 from friezelotus.frieze import frieze_of_triangulation
 from friezelotus.polygon import enumerate_triangulations, quiddity_of
 
-from conftest import coprime_pairs, petal_of_triangle, random_triangulation
+from conftest import coprime_pairs, petal_of_triangle, random_triangulation, triangles_of
 
 
 def petal(u, v):
@@ -203,7 +203,7 @@ def test_every_anchor_embeds_as_a_lotus():
 
 def petals_by_lattice_search(t, verts, k):
     return frozenset(petal_of_triangle([verts[(v - 1 - k) % t.m] for v in tri])
-                     for tri in t.triangles)
+                     for tri in triangles_of(t))
 
 
 def test_label_rule_matches_the_lattice_search():

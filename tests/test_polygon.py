@@ -1,15 +1,17 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from friezelotus.polygon import (TriangulatedPolygon, diagonals_cross,
                                  enumerate_triangulations, flip, make_polygon,
                                  polygon_from_quiddity, polygon_of_cf,
                                  quiddity_of)
 
-from conftest import catalan_by_recurrence, outcome, quiddities, random_triangulation
+from conftest import (catalan_by_recurrence, outcome, quiddities, random_triangulation,
+                      triangles_of)
 
 
 def test_validation_rejects_bad_polygons():
@@ -19,6 +21,57 @@ def test_validation_rejects_bad_polygons():
         make_polygon(5, [(1, 3)])  # not maximal
     with pytest.raises(ValueError):
         make_polygon(6, [(1, 3), (2, 4), (2, 6)])  # (1,3) x (2,4)
+
+
+def inner_diagonals(m):
+    return [(i, j) for i in range(1, m + 1) for j in range(i + 2, m + 1) if (i, j) != (1, m)]
+
+
+def assert_sweep_matches_pairwise_crossing(m, diagonals):
+    # the sweep accepts exactly the pairwise noncrossing sets, which the
+    # reference walk then cuts into m-2 triangles, and names a crossing pair
+    crossing = {f"diagonals {a} and {b} cross; not a triangulation"
+                for a in diagonals for b in diagonals if diagonals_cross(a, b, m)}
+    result = outcome(lambda ds: TriangulatedPolygon(m, ds), diagonals)
+    if crossing:
+        assert result in crossing
+    else:
+        assert result.diagonals == diagonals
+        assert len(triangles_of(result)) == m - 2
+
+
+def test_sweep_matches_pairwise_crossing_exhaustive():
+    for m in range(3, 9):
+        for diagonals in combinations(inner_diagonals(m), m - 3):
+            assert_sweep_matches_pairwise_crossing(m, frozenset(diagonals))
+
+
+@st.composite
+def diagonal_sets(draw):
+    """m-3 inner diagonals of an m-gon, 4 <= m <= 40: a random triangulation
+    with up to three diagonals moved, or a uniform random set."""
+    m = draw(st.integers(4, 40))
+    inner = inner_diagonals(m)
+    if draw(st.booleans()):
+        return m, frozenset(draw(st.lists(st.sampled_from(inner), min_size=m - 3,
+                                          max_size=m - 3, unique=True)))
+    diagonals = set(random_triangulation(m, draw(st.randoms(use_true_random=False))).diagonals)
+    for _ in range(draw(st.integers(0, 3))):
+        diagonals.remove(draw(st.sampled_from(sorted(diagonals))))
+        diagonals.add(draw(st.sampled_from([d for d in inner if d not in diagonals])))
+    return m, frozenset(diagonals)
+
+
+@given(diagonal_sets())
+def test_sweep_matches_pairwise_crossing(case):
+    assert_sweep_matches_pairwise_crossing(*case)
+
+
+def test_value_semantics_are_those_of_the_pair():
+    t = make_polygon(5, [(1, 3), (1, 4)])
+    assert repr(t) == f"TriangulatedPolygon(m=5, diagonals={t.diagonals!r})"
+    assert hash(t) == hash((5, t.diagonals))
+    assert t == make_polygon(5, [(1, 4), (1, 3)]) and t != make_polygon(5, [(1, 3), (3, 5)])
 
 
 def test_diagonals_cross_cases():
@@ -159,9 +212,17 @@ def test_polygon_from_quiddity_rejects_garbage():
 
 
 def test_triangles_of_counts():
+    # the reference walk finds m-2 triangles, and the triangles at each
+    # vertex are the quiddity read off the diagonals
     for m in range(3, 9):
         for t in enumerate_triangulations(m):
-            assert len(t.triangles) == m - 2
+            triangles = triangles_of(t)
+            assert len(triangles) == m - 2
+            counts = [0] * m
+            for tri in triangles:
+                for v in tri:
+                    counts[v - 1] += 1
+            assert tuple(counts) == quiddity_of(t)
 
 
 def smallest_label_ear_cut(q):

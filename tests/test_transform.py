@@ -15,7 +15,7 @@ from friezelotus.resolution import (curve_of_lotus, graph_of_lotus, lotus_of_pol
 from friezelotus.transform import (base_side_petals, mutate_lotus, quad_type,
                                    reduce, reduction_chain)
 
-from conftest import coprime_pairs, petal_of_triangle, random_triangulation
+from conftest import coprime_pairs, petal_of_triangle, random_triangulation, triangles_of
 
 
 def test_reduce_square_leaves_triangle():
@@ -265,7 +265,7 @@ def base_side_petals_by_regions(l, d):
              for t in range(4)]
     far_sides = [(lo, hi) for lo, hi in sides if (lo, hi) != (1, poly.m)]
     petals = set()
-    for tri in poly.triangles:
+    for tri in triangles_of(poly):
         if i in tri and j in tri:
             continue
         if not any(all(lo <= v <= hi for v in tri) for lo, hi in far_sides):
