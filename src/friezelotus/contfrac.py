@@ -99,7 +99,6 @@ class Rational:
 
 
 INFINITY = Rational.infinity()
-ZERO = Rational(0)
 
 
 def continuant(values: Sequence[int]) -> int:

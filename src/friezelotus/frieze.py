@@ -140,11 +140,6 @@ def complete_quiddity(prefix: Sequence[int]) -> tuple[int, ...]:
     if len(prefix) < 1:
         raise ValueError("prefix must contain at least one entry (width 0)")
     full = prefix + (continuant(prefix[:-1]), continuant(prefix[1:]))
-    frieze_from_quiddity(full)  # reject unextendable prefixes
+    polygon_from_quiddity(full)  # reject unextendable prefixes
     return full
 
-
-def entry_by_continuant(q: Sequence[int], i: int, j: int) -> int:
-    """Direct continuant form of an entry: P_{j-i-1}(q[i+1], ..., q[j-1])."""
-    m = len(q)
-    return continuant([q[t % m] for t in range(i + 1, j)])

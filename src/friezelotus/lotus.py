@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
 from .frieze import frieze_from_quiddity
-from .polygon import Diagonal, TriangulatedPolygon, quiddity_of
+from .polygon import Diagonal, TriangulatedPolygon, polygon_from_quiddity, quiddity_of
 
 Point = tuple[int, int]
 
@@ -197,9 +197,17 @@ def embed_polygon(q: Sequence[int], k: int) -> list[Point]:
     recurrence v_{l+1} = mu * v_l - v_{l-1} with mu the quiddity at v_l;
     equivalently v_l is the pair of frieze entries
     (entry(k, k+l-1), entry(k-1, k+l-1)).
+
+    The quiddity is checked by the ear cut; by Conway-Coxeter it accepts
+    exactly the frieze quiddities.  A rejected one is refused with the
+    frieze builder's message, which names the first bad diamond.
     """
     q = tuple(q)
-    frieze_from_quiddity(q)  # reject invalid quiddities up front
+    try:
+        polygon_from_quiddity(q)
+    except ValueError:
+        frieze_from_quiddity(q)
+        raise
     return _embed(q, k)
 
 
@@ -215,15 +223,6 @@ def _embed(q: tuple[int, ...], k: int) -> list[Point]:
     return verts
 
 
-def petals_of_embedding(p: TriangulatedPolygon, verts: Sequence[Point],
-                        k: int = 0) -> frozenset[Petal]:
-    """The petals of ``p`` under the placement ``verts`` produced with
-    anchor ``k`` (the embedding lists the vertices starting from polygon
-    vertex k+1, so labels are rotated by k): the base petal on the chord
-    that the rotation puts at [1, m], and one petal on each diagonal."""
-    return frozenset([BASE_PETAL, *(_chord_petal(verts, d, k) for d in p.diagonals)])
-
-
 def _chord_petal(verts: Sequence[Point], chord: Diagonal, k: int = 0) -> Petal:
     """The petal on a chord, read off its labels rotated by ``k``: the chord
     lo < hi is the base of the one triangle whose apex lies between them,
@@ -235,9 +234,12 @@ def _chord_petal(verts: Sequence[Point], chord: Diagonal, k: int = 0) -> Petal:
 
 def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:
     """Unmarked lotus of the embedded triangulation: polygon vertex k+1 goes
-    to (0,1) (see embed_polygon)."""
+    to (0,1) (see embed_polygon).  The embedding lists the vertices from
+    polygon vertex k+1, so labels rotate by k: the base petal sits on the
+    chord that the rotation puts at [1, m], and each diagonal carries one
+    more petal."""
     verts = _embed(quiddity_of(p), k)
-    return _lotus(petals_of_embedding(p, verts, k))
+    return _lotus(frozenset([BASE_PETAL, *(_chord_petal(verts, d, k) for d in p.diagonals)]))
 
 
 def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:

@@ -1,10 +1,11 @@
 """Cutting triangulated polygons along diagonals, and lotus mutation.
 
 Cutting the polygon of a lotus along a triangulation diagonal keeps the
-piece containing the base edge [1, m]; its quiddity is given by closed
-formulas in the frieze entries, so every partial-resolution weight chain
-already sits inside the full frieze.  Mutation flips a diagonal and
-re-embeds the new triangulation with vertex 1 back at (0,1).
+piece containing the base edge [1, m].  Its quiddity, counted off the kept
+piece, equals a closed formula in the frieze entries of the whole polygon
+(see ``reduce``), so every partial-resolution weight chain already sits
+inside the full frieze.  Mutation flips a diagonal and re-embeds the new
+triangulation with vertex 1 back at (0,1).
 
 Mutation data are read off the polygon's labels, never searched for in the
 lattice: a chord's labels fix the petal on it (see ``lotus._chord_petal``),
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .frieze import entry_by_continuant
 from .lotus import Lotus, _chord_petal, lotus_of_polygon, polygon_of_lotus
 from .polygon import Diagonal, TriangulatedPolygon, flip, flip_quadrilateral, quiddity_of
 
@@ -32,11 +32,12 @@ class ReductionResult(namedtuple("ReductionResult", "polygon quiddity dropped"))
 
 def reduce(p: TriangulatedPolygon, d: Diagonal) -> ReductionResult:
     """Cut ``p`` along diagonal d = [i, j] and keep the piece containing the
-    edge [1, m].
+    edge [1, m]: vertices 1..i and j..m, relabelled in order.
 
-    The kept piece's quiddity comes from the frieze of ``p``: writing value()
-    for frieze entries (vertex t at index t-1) and q for the quiddity of
-    ``p``, it is
+    The kept piece's quiddity is counted off its own diagonals.  As a
+    theorem (checked by the tests), it is a closed formula in the frieze
+    entries of ``p``: writing value() for frieze entries (vertex t at index
+    t-1) and q for the quiddity of ``p``, it is
 
         (q_1 .. q_{i-1}, value(i-2, j-1), value(i-1, j), q_{j+1} .. q_m)
 
@@ -47,21 +48,9 @@ def reduce(p: TriangulatedPolygon, d: Diagonal) -> ReductionResult:
     if d not in p.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
     i, j = d
-    q = quiddity_of(p)
-
-    def value(a: int, b: int) -> int:
-        return entry_by_continuant(q, a, b)
-
-    if j < p.m:
-        quiddity = q[:i - 1] + (value(i - 2, j - 1), value(i - 1, j)) + q[j:]
-        kept_labels = list(range(1, i + 1)) + list(range(j, p.m + 1))
-    else:
-        quiddity = q[:i - 1] + (value(i - 2, p.m - 1), value(0, i - 1))
-        kept_labels = list(range(1, i + 1)) + [p.m]
-    dropped_labels = list(range(i, j + 1))
-    kept = _subpolygon(p, kept_labels, d)
-    dropped = _subpolygon(p, dropped_labels, d)
-    return ReductionResult(polygon=kept, quiddity=quiddity, dropped=dropped)
+    kept = _subpolygon(p, [*range(1, i + 1), *range(j, p.m + 1)], d)
+    dropped = _subpolygon(p, [*range(i, j + 1)], d)
+    return ReductionResult(polygon=kept, quiddity=quiddity_of(kept), dropped=dropped)
 
 
 def _subpolygon(p: TriangulatedPolygon, labels: list[int], cut: Diagonal) -> TriangulatedPolygon:

@@ -76,6 +76,14 @@ def test_embed():
     assert out == "(0,1) (1,2) (2,3) (5,7) (8,11) (3,4) (1,1) (1,0)\n"
 
 
+def test_embed_past_the_frieze_ceiling():
+    # m = 3 203: the ear cut validates the quiddity, no frieze is built
+    q = quiddity_of(polygon_of_cf(hj_expand(Rational(3201, 3200))))
+    code, out = run(["embed", "--quiddity", ",".join(map(str, q))])
+    assert code == 0
+    assert out.count("(") == 3203 and out.endswith(" (1,0)\n")
+
+
 def test_frieze_text_and_json():
     code, out = run(["frieze", "--rational", "11/8"])
     assert code == 0

@@ -3,10 +3,10 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from friezelotus.contfrac import Rational, hj_expand
+from friezelotus.contfrac import Rational, continuant, hj_expand
 from friezelotus.frieze import (MAX_FRIEZE_ENTRIES, complete_quiddity,
-                                entry_by_continuant, frieze_from_quiddity,
-                                frieze_of_triangulation, triangulation_of_frieze)
+                                frieze_from_quiddity, frieze_of_triangulation,
+                                triangulation_of_frieze)
 from friezelotus.polygon import (enumerate_triangulations, polygon_from_quiddity,
                                  polygon_of_cf, quiddity_of)
 
@@ -95,7 +95,7 @@ def test_entries_are_continuants():
             q = f.quiddity
             for i in range(m):
                 for j in range(i + 1, i + m + 1):
-                    assert f.entry(i, j) == entry_by_continuant(q, i, j)
+                    assert f.entry(i, j) == continuant([q[t % m] for t in range(i + 1, j)])
 
 
 def test_ones_are_exactly_edges_and_diagonals():
@@ -137,6 +137,12 @@ def test_complete_quiddity_recovers_every_small_frieze():
         for t in enumerate_triangulations(m):
             q = quiddity_of(t)
             assert complete_quiddity(q[:m - 2]) == q
+
+
+def test_complete_quiddity_past_the_frieze_ceiling():
+    q = quiddity_of(polygon_of_cf(hj_expand(Rational(3201, 3200))))
+    assert len(q) * (len(q) - 1) // 2 > MAX_FRIEZE_ENTRIES
+    assert complete_quiddity(q[:-2]) == q
 
 
 def test_complete_quiddity_rejects_unextendable_prefix():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -8,12 +9,12 @@ from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal,
                                embed_polygon, is_sublotus,
                                lateral_boundary, lotus_of_polygon,
                                lotus_of_slope, lotus_of_slopes,
-                               petals_of_embedding, pinching_points,
-                               polygon_of_lotus)
-from friezelotus.frieze import frieze_of_triangulation
+                               pinching_points, polygon_of_lotus)
+from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
 from friezelotus.polygon import enumerate_triangulations, quiddity_of
 
-from conftest import coprime_pairs, petal_of_triangle, random_triangulation, triangles_of
+from conftest import (coprime_pairs, outcome, petal_of_triangle, random_triangulation,
+                      triangles_of)
 
 
 def petal(u, v):
@@ -106,6 +107,17 @@ def test_embed_triangle():
 def test_embed_rejects_invalid_quiddity():
     with pytest.raises(ValueError):
         embed_polygon((2, 2, 2, 2), 0)
+
+
+def test_embed_refuses_with_the_frieze_message():
+    # the ear cut accepts or refuses; a refusal names the first bad diamond
+    for m in range(3, 8):
+        for q in product(range(1, 5), repeat=m):
+            frieze = outcome(frieze_from_quiddity, q)
+            embedding = outcome(lambda q: embed_polygon(q, 0), q)
+            assert isinstance(embedding, str) == isinstance(frieze, str)
+            if isinstance(frieze, str):
+                assert embedding == frieze
 
 
 def test_embedding_matches_frieze_diagonals():
@@ -217,7 +229,7 @@ def test_label_rule_matches_the_lattice_search():
         q = quiddity_of(t)
         for k in range(t.m):
             verts = embed_polygon(q, k)
-            assert petals_of_embedding(t, verts, k) == petals_by_lattice_search(t, verts, k)
+            assert lotus_of_polygon(t, k).petals == petals_by_lattice_search(t, verts, k)
 
 
 def test_marks_must_lie_on_boundary():

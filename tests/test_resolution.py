@@ -217,6 +217,22 @@ def test_partials_are_sublotuses_with_frieze_entries():
         assert all(-w in values for w in g.weights)
 
 
+def test_every_partial_weight_is_a_frieze_entry():
+    # for consecutive boundary points a, b, c of any stage, the weight at b
+    # is minus the entry of the full frieze at the labels of a and c
+    rng = random.Random(13)
+    for _ in range(200):
+        l = lotus_of_slopes({Rational(rng.randint(1, 9), rng.randint(1, 9))
+                             for _ in range(rng.randint(1, 3))})
+        poly, verts = polygon_of_lotus(l)
+        f = frieze_of_triangulation(poly)
+        index = {pt: t for t, pt in enumerate(verts)}  # label - 1
+        for sub, g in partial_resolutions(l):
+            chain = lateral_boundary(sub)
+            assert g.weights == tuple(-f.entry(index[a], index[c])
+                                      for a, c in zip(chain, chain[2:]))
+
+
 def test_deep_lotus_needs_no_deep_stack():
     # a 301-petal chain: neither the triangle walk nor the downset
     # enumeration may recurse once per petal

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
@@ -50,13 +51,29 @@ def test_reduce_rejects_non_diagonal():
         reduce(p, (2, 4))
 
 
+def check_reduce_formula(t):
+    """The paper's closed formula for the kept piece's quiddity, in the
+    frieze entries of the whole polygon, against the recount of ``reduce``."""
+    q = quiddity_of(t)
+    f = frieze_from_quiddity(q)
+    m = len(q)
+    for i, j in sorted(t.diagonals):
+        if j < m:
+            expected = q[:i - 1] + (f.entry(i - 2, j - 1), f.entry(i - 1, j)) + q[j:]
+        else:
+            expected = q[:i - 1] + (f.entry(i - 2, m - 1), f.entry(0, i - 1))
+        assert reduce(t, (i, j)).quiddity == expected
+
+
 def test_reduce_formula_matches_recount_oracle():
-    # the closed frieze-entry formula against recounting the cut piece
-    for m in range(4, 9):
+    for m in range(4, 10):
         for t in enumerate_triangulations(m):
-            for d in sorted(t.diagonals):
-                r = reduce(t, d)
-                assert r.quiddity == quiddity_of(r.polygon)
+            check_reduce_formula(t)
+
+
+@given(st.integers(4, 40), st.randoms(use_true_random=False))
+def test_reduce_formula_matches_recount_on_random_triangulations(m, rng):
+    check_reduce_formula(random_triangulation(m, rng))
 
 
 def test_reduce_ear_cut_decrements_neighbours():
@@ -99,10 +116,10 @@ def cut_and_stage_quiddities(l) -> tuple[Counter, Counter]:
 
 
 def test_reduction_chain_matches_proper_partials():
-    # two independent paths: each cut's quiddity is read off frieze entries,
-    # each stage's off its own petals.  A single slope's proper stages are
-    # its chain prefixes, one per diagonal; a product also has stages that
-    # drop more than one subtree, which no single cut keeps.
+    # two independent paths: each cut's quiddity is counted off the kept
+    # piece's diagonals, each stage's off its own petals.  A single slope's
+    # proper stages are its chain prefixes, one per diagonal; a product also
+    # has stages that drop more than one subtree, which no single cut keeps.
     singles = [Rational(a, b) for n, q in coprime_pairs(39) for a, b in ((n, q), (q, n))]
     assert len(singles) == 946
     for value in singles:
