@@ -217,7 +217,7 @@ def lotus_from_json(text: str) -> Lotus:
     """Decode a lotus document; ``Petal`` and ``Lotus`` check its values."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"bad lotus JSON: {exc}") from exc
     if (type(doc) is not dict or type(doc.get("petals")) is not list
             or type(doc.get("marks", [])) is not list):
@@ -258,19 +258,16 @@ def _dump(doc) -> str:
 def _cmd_hj(args, stdin_text) -> str:
     value = Rational.parse(args.rational)
     terms = hj_expand(value)
-    dual = kidoh = None
-    if value.num > value.den:
-        kd = kidoh_dual(value)
-        dual, kidoh = kd.dual, kd
+    kd = kidoh_dual(value) if value.num > value.den else None
     if args.json:
         doc = {"rational": str(value), "expansion": list(terms)}
-        if dual is not None:
-            doc["dual"] = list(dual)
-            doc["kidoh"] = {"c": list(kidoh.c), "d": list(kidoh.d)}
+        if kd is not None:
+            doc["dual"] = list(kd.dual)
+            doc["kidoh"] = {"c": list(kd.c), "d": list(kd.d)}
         return _dump(doc)
     lines = [_bracket(terms)]
-    if dual is not None:
-        lines.append(f"dual {_bracket(dual)}")
+    if kd is not None:
+        lines.append(f"dual {_bracket(kd.dual)}")
     return "\n".join(lines) + "\n"
 
 

@@ -68,14 +68,6 @@ class Rational:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def __lt__(self, other: "Rational") -> bool:
-        # cross multiplication, correct for the infinity sentinel as well;
-        # > and >= are these two reflected
-        return self.num * other.den < other.num * self.den
-
-    def __le__(self, other: "Rational") -> bool:
-        return self.num * other.den <= other.num * self.den
-
     def __repr__(self) -> str:
         return f"Rational({self.num}, {self.den})"
 
@@ -96,9 +88,6 @@ class Rational:
         except ValueError as exc:
             raise ValueError(f"not a rational: {text!r}") from exc
         return cls(num, den)
-
-
-INFINITY = Rational.infinity()
 
 
 def continuant(values: Sequence[int]) -> int:

@@ -30,7 +30,9 @@ test could never fail, and none is made.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
+from itertools import chain
 
 from .contfrac import continuant
 from .polygon import TriangulatedPolygon, polygon_from_quiddity, quiddity_of
@@ -40,39 +42,21 @@ from .polygon import TriangulatedPolygon, polygon_from_quiddity, quiddity_of
 MAX_FRIEZE_ENTRIES = 5_000_000
 
 
-class Frieze:
+class Frieze(namedtuple("Frieze", "m quiddity entries")):
     """Width m-3 frieze stored as its fundamental domain.
 
     Construct through :func:`frieze_from_quiddity`, which validates every
     row eagerly; a ``Frieze`` value is always globally consistent.
-    Equality and hash depend on (m, quiddity) only.
     """
 
-    __slots__ = ("m", "quiddity", "entries")
-
-    def __init__(self, m: int, quiddity: tuple[int, ...], entries: dict[tuple[int, int], int]):
-        self.m = m
-        self.quiddity = quiddity
-        self.entries = entries
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.m == other.m and self.quiddity == other.quiddity
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.quiddity))
+    __slots__ = ()
 
     @property
     def __dataclass_fields__(self):
         # lets dataclasses.replace(frieze, entries=...) build a changed copy,
         # without this module importing dataclasses at start-up
         from dataclasses import make_dataclass
-        return make_dataclass("Frieze", self.__slots__).__dataclass_fields__
-
-    @property
-    def width(self) -> int:
-        return self.m - 3
+        return make_dataclass("Frieze", self._fields).__dataclass_fields__
 
     def entry(self, i: int, j: int) -> int:
         """Value at any integer pair, via periodicity and the glide map."""
@@ -83,14 +67,20 @@ class Frieze:
 
 
 def frieze_from_quiddity(q: Sequence[int]) -> Frieze:
-    """Build and validate the frieze whose quiddity row is ``q``.
+    """Build the frieze whose quiddity row is ``q`` from :func:`frieze_rows`."""
+    q = tuple(q)
+    return Frieze(len(q), q, dict(chain.from_iterable(frieze_rows(q))))
+
+
+def frieze_rows(q: tuple[int, ...]) -> Iterator[Iterator[tuple[tuple[int, int], int]]]:
+    """Validate the frieze of ``q`` row by row, holding only two rows, and
+    yield the ((i, i+d), value) entries of each row d = 1..m-1 in turn.
 
     Row d comes from the two rows before it by the continuant recurrence
     value(i, i+d) = q[i+d-1] * value(i, i+d-1) - value(i, i+d-2), which needs
     no divisibility test (see the module docstring).  The input is rejected,
     naming the first offending pair in row-major order, if an entry of rows
     2..m-2 is not positive or the closing row m-1 is not all 1s."""
-    q = tuple(q)
     m = len(q)
     if m < 3:
         raise ValueError("quiddity needs length >= 3")
@@ -102,19 +92,18 @@ def frieze_from_quiddity(q: Sequence[int]) -> Frieze:
         raise ValueError(f"the frieze of a {m}-gon has {size} entries, "
                          f"over the limit of {MAX_FRIEZE_ENTRIES}")
     labels = list(range(m))  # one int object per index, shared by all keys
-    entries = dict.fromkeys(zip(labels, labels[1:]), 1)
     prev2, prev = [0] * m, [1] * m
+    yield zip(zip(labels, labels[1:]), prev)
     for d in range(2, m):
         row = [a * p - pp for a, p, pp in zip(q[d - 1:] + q[:d - 1], prev, prev2)]
         if d <= m - 2 and min(row) < 1:
             i = next(i for i, val in enumerate(row) if val < 1)
             raise ValueError(_bad_diamond(i, i + d, f"the non-positive entry {row[i]}"))
-        entries.update(zip(zip(labels, labels[d:]), row))
+        yield zip(zip(labels, labels[d:]), row)
         prev2, prev = prev, row
     for i, val in enumerate(prev):
         if val != 1:
             raise ValueError(_bad_diamond(i, i + m - 1, f"closing value {val} instead of 1"))
-    return Frieze(m=m, quiddity=q, entries=entries)
 
 
 def _bad_diamond(i: int, j: int, what: str) -> str:

@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
-from .frieze import frieze_from_quiddity
+from .frieze import MAX_FRIEZE_ENTRIES, frieze_rows
 from .polygon import Diagonal, TriangulatedPolygon, polygon_from_quiddity, quiddity_of
 
 Point = tuple[int, int]
@@ -113,52 +113,45 @@ def _lotus(petals: frozenset[Petal], marks: frozenset[Point] = frozenset()) -> L
 
 
 def lotus_of_slope(s: Rational) -> Lotus:
-    """Chain of petals meeting the ray of slope ``s``, marked at its tip.
-
-    Follows the Stern-Brocot path down the petal tree, entering the child
-    whose cone contains the ray: the upper one (apex becomes u) for the
-    even runs of ``s``, the lower one (apex becomes v) for the odd runs,
-    and stops at the petal whose apex is the primitive vector of ``s``.
-    Slopes 0 and infinity give the segment marked at E1 or E2.
-    """
-    if s.is_zero or s.is_infinite:
-        return _lotus(frozenset(), frozenset({E1 if s.is_zero else E2}))
-    runs = stern_brocot_runs(s)
-    runs[-1] -= 1  # the base petal is the first step
-    u, v = E1, E2
-    petals = [BASE_PETAL]
-    for t, run in enumerate(runs):
-        for _ in range(run):
-            if t % 2:
-                v = (u[0] + v[0], u[1] + v[1])
-            else:
-                u = (u[0] + v[0], u[1] + v[1])
-            petals.append(_petal(u, v))
-    return _lotus(frozenset(petals), frozenset({(u[0] + v[0], u[1] + v[1])}))
+    """The lotus of one slope, marked at its primitive point."""
+    return lotus_of_slopes([s])
 
 
 def lotus_of_slopes(slopes: Iterable[Rational]) -> Lotus:
-    """Union of the slope lotuses, keeping every mark; the union, too, is
-    held to MAX_VERTICES."""
+    """Union of the petal chains meeting the rays of the slopes, each marked
+    at its tip; the union, too, is held to MAX_VERTICES.
+
+    Each slope walks its Stern-Brocot path down the petal tree into the
+    child whose cone holds the ray: the upper one (apex becomes u) on even
+    runs, the lower one (apex becomes v) on odd runs, up to the petal whose
+    apex is the slope's primitive vector.  Slopes 0 and inf add only a mark.
+    """
     petals: set[Petal] = set()
     marks: set[Point] = set()
     for s in slopes:
-        part = lotus_of_slope(s)
-        petals |= part.petals
-        marks |= part.marks
+        if s.is_zero or s.is_infinite:
+            marks.add(E1 if s.is_zero else E2)
+            continue
+        runs = stern_brocot_runs(s)
+        runs[-1] -= 1  # the base petal is the first step
+        u, v = E1, E2
+        petals.add(BASE_PETAL)
+        for t, run in enumerate(runs):
+            for _ in range(run):
+                apex = (u[0] + v[0], u[1] + v[1])
+                u, v = (u, apex) if t % 2 else (apex, v)
+                petals.add(_petal(u, v))
+        marks.add((u[0] + v[0], u[1] + v[1]))
         if len(petals) + 2 > MAX_VERTICES:
             raise ValueError(f"the slopes give a polygon of over {MAX_VERTICES} vertices")
     return _lotus(frozenset(petals), frozenset(marks))
 
 
-def is_sublotus(a: Lotus, b: Lotus) -> bool:
-    return a.petals <= b.petals
-
-
-def pinching_points(l: Lotus) -> set[Point]:
-    """Non-basic vertices incident to exactly one petal."""
+def pinching_points(l: Lotus) -> tuple[Point, ...]:
+    """Non-basic vertices on exactly one petal, in lateral-boundary order:
+    increasing slope, as consecutive boundary points a, b have det(a, b) = 1."""
     chain = lateral_boundary(l)
-    return {pt for pt, c in zip(chain[1:], petal_counts(chain)) if c == 1}
+    return tuple(pt for pt, c in zip(chain[1:], petal_counts(chain)) if c == 1)
 
 
 def petal_counts(chain: Sequence[Point]) -> list[int]:
@@ -200,13 +193,16 @@ def embed_polygon(q: Sequence[int], k: int) -> list[Point]:
 
     The quiddity is checked by the ear cut; by Conway-Coxeter it accepts
     exactly the frieze quiddities.  A rejected one is refused with the
-    frieze builder's message, which names the first bad diamond.
+    frieze's message, which names the first bad diamond, when the frieze
+    is under its ceiling.
     """
     q = tuple(q)
     try:
         polygon_from_quiddity(q)
     except ValueError:
-        frieze_from_quiddity(q)
+        if len(q) * (len(q) - 1) // 2 <= MAX_FRIEZE_ENTRIES:
+            for _ in frieze_rows(q):
+                pass
         raise
     return _embed(q, k)
 

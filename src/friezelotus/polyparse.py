@@ -18,6 +18,8 @@ from math import gcd
 
 Term = tuple[int, int]
 
+MAX_NESTING = 100  # parenthesis depth, well under the interpreter's recursion limit
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -75,9 +77,6 @@ class Poly2:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __str__(self) -> str:
         return poly_to_string(self)
 
@@ -96,6 +95,7 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -139,8 +139,12 @@ class _Parser:
     def factor(self) -> Poly2:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.pos)
             self.pos += 1
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1

@@ -7,7 +7,6 @@ from collections import namedtuple
 
 from .frieze import MAX_FRIEZE_ENTRIES, Frieze
 from .lotus import Lotus, lateral_boundary, petal_counts
-from .resolution import ResolutionGraph
 
 MAX_GRID_LINES = 10_000
 

@@ -83,12 +83,10 @@ def graph_of_lotus(l: Lotus) -> ResolutionGraph:
 
 def curve_of_lotus(l: Lotus) -> PlaneCurve:
     """Curve with the fewest binomial factors whose lotus is ``l``: one
-    factor x^d - y^c per pinching point (c, d)."""
+    factor x^d - y^c per pinching point (c, d), by decreasing slope d/c."""
     if l.is_segment:
         return PlaneCurve(((1, 1),))  # smallest smooth representative x - y
-    factors = sorted(((d, c) for c, d in pinching_points(l)),
-                     key=lambda f: Rational(f[0], f[1]), reverse=True)
-    return PlaneCurve(tuple(factors))
+    return PlaneCurve(tuple((d, c) for c, d in reversed(pinching_points(l))))
 
 
 def newton_fan(support: set[Term]) -> set[Rational]:
@@ -97,12 +95,7 @@ def newton_fan(support: set[Term]) -> set[Rational]:
     An edge from (x0, y0) to (x1, y1) with x1 > x0 is orthogonal to the
     primitive vector (y0 - y1, x1 - x0), of slope (x1 - x0)/(y0 - y1).
     """
-    if not support:
-        raise ValueError("support must be nonempty")
-    slopes = set()
-    for (x0, y0), (x1, y1) in compact_edges(support):
-        slopes.add(Rational(x1 - x0, y0 - y1))
-    return slopes
+    return {Rational(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in compact_edges(support)}
 
 
 def lotus_of_poly(f: Poly2) -> Lotus:

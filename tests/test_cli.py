@@ -84,6 +84,13 @@ def test_embed_past_the_frieze_ceiling():
     assert out.count("(") == 3203 and out.endswith(" (1,0)\n")
 
 
+def test_embed_refusal_past_the_frieze_ceiling(capsys):
+    # m = 3 200: no frieze is built, so the ear cut's message stands
+    assert run(["embed", "--quiddity", ",".join(["2"] * 3200)]) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: not the quiddity of a triangulated polygon (no ear)\n")
+
+
 def test_frieze_text_and_json():
     code, out = run(["frieze", "--rational", "11/8"])
     assert code == 0
@@ -437,7 +444,10 @@ _polys = st.one_of(
                        st.integers(0, 9)), min_size=1, max_size=3).map(
         lambda fs: "*".join(f"({f})" for f in fs)),
     st.sampled_from(["", "x", "x^3 - ", "(x^2-y)*(x^2-y)", "x*y", "2", "x^2+y^2+x*y"]),
-    st.builds("x^{}-y".format, _huge), st.builds("x^{0}-y^{0}".format, _huge))
+    st.builds("x^{}-y".format, _huge), st.builds("x^{0}-y^{0}".format, _huge),
+    # past the parser's nesting ceiling, closed or not
+    st.integers(101, 5000).map(lambda n: "(" * n + "x" + ")" * n),
+    st.integers(101, 5000).map(lambda n: "(" * n))
 
 
 def _chain_doc(turns) -> str:
@@ -462,7 +472,9 @@ _lotus_docs = st.one_of(
         lambda ps: json.dumps({"petals": ps})),
     st.integers(0, 299).flatmap(
         lambda n: st.lists(st.booleans(), min_size=n, max_size=n)).map(_chain_doc),
-    st.text(max_size=20))
+    st.text(max_size=20),
+    # nested past the JSON decoder's recursion limit
+    st.integers(1000, 100_000).map(lambda n: "[" * n))
 
 
 @st.composite

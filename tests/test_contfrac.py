@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from friezelotus.contfrac import (INFINITY, MAX_VERTICES, Rational, continuant,
+from friezelotus.contfrac import (MAX_VERTICES, Rational, continuant,
                                   hj_evaluate, hj_expand, kidoh_dual,
                                   stern_brocot_runs)
 from friezelotus.polygon import polygon_of_cf, quiddity_of
@@ -24,9 +24,10 @@ def test_rational_rejects_den_zero_and_negative():
 
 
 def test_infinity_sentinel():
-    assert INFINITY.is_infinite
+    assert Rational.infinity().is_infinite
     assert Rational.parse("inf").is_infinite
-    assert Rational(1, 2) < INFINITY
+    with pytest.raises(TypeError):  # slopes compare for equality only
+        Rational(1, 2) < Rational.infinity()
 
 
 def test_expand_known_values():
@@ -46,7 +47,7 @@ def test_expand_rejects_zero_and_infinity():
     with pytest.raises(ValueError):
         hj_expand(Rational(0, 1))
     with pytest.raises(ValueError):
-        hj_expand(INFINITY)
+        hj_expand(Rational.infinity())
 
 
 def test_evaluate_known_values():

@@ -1,12 +1,13 @@
 import random
+import tracemalloc
 from itertools import product
 from math import gcd
 
 import pytest
 
-from friezelotus.contfrac import INFINITY, Rational, hj_expand, kidoh_dual
+from friezelotus.contfrac import Rational, hj_expand, kidoh_dual
 from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal,
-                               embed_polygon, is_sublotus,
+                               embed_polygon,
                                lateral_boundary, lotus_of_polygon,
                                lotus_of_slope, lotus_of_slopes,
                                pinching_points, polygon_of_lotus)
@@ -77,8 +78,8 @@ def test_lotus_of_slope_11_8():
 
 def test_degenerate_slopes():
     assert lotus_of_slope(Rational(0)).is_segment
-    assert lotus_of_slope(INFINITY).is_segment
-    both = lotus_of_slopes([Rational(0), INFINITY])
+    assert lotus_of_slope(Rational.infinity()).is_segment
+    both = lotus_of_slopes([Rational(0), Rational.infinity()])
     assert both.is_segment
     assert both.marks == frozenset({E1, E2})
 
@@ -90,6 +91,19 @@ def test_union_of_slopes():
     two = lotus_of_slopes([Rational(3, 2), Rational(1, 1)])
     assert two.petals == lotus_of_slope(Rational(3, 2)).petals
     assert two.marks == frozenset({(2, 3), (1, 1)})
+
+
+def test_union_walk_is_the_union_of_single_slopes():
+    rng = random.Random(14)
+    for _ in range(300):
+        slopes = [Rational.infinity() if rng.random() < 0.1
+                  else Rational(rng.randint(0, 12), rng.randint(1, 12))
+                  for _ in range(rng.randint(1, 5))]
+        parts = [lotus_of_slopes([s]) for s in slopes]
+        union = lotus_of_slopes(slopes)
+        assert union.petals == frozenset().union(*(p.petals for p in parts))
+        assert union.marks == frozenset().union(*(p.marks for p in parts))
+        assert len(union.marks) == len(set(slopes))
 
 
 def test_embed_running_anchors():
@@ -118,6 +132,25 @@ def test_embed_refuses_with_the_frieze_message():
             assert isinstance(embedding, str) == isinstance(frieze, str)
             if isinstance(frieze, str):
                 assert embedding == frieze
+
+
+def test_embed_refusal_holds_two_frieze_rows():
+    # the frieze of 2 000 twos would hold about 2 M entries; the scan that
+    # names its bad diamond keeps two rows of 2 000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="closing value 1999 instead of 1"):
+            embed_polygon((2,) * 2000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_embed_refusal_past_the_frieze_ceiling_is_the_ear_cut():
+    with pytest.raises(ValueError) as info:
+        embed_polygon((2,) * 3200, 0)
+    assert str(info.value) == "not the quiddity of a triangulated polygon (no ear)"
 
 
 def test_embedding_matches_frieze_diagonals():
@@ -150,16 +183,16 @@ def test_lateral_boundary_11_8():
 
 
 def test_pinching_points():
-    assert pinching_points(lotus_of_slope(Rational(3, 2))) == {(2, 3)}
-    assert pinching_points(Lotus(frozenset({BASE_PETAL}))) == {(1, 1)}
+    assert pinching_points(lotus_of_slope(Rational(3, 2))) == ((2, 3),)
+    assert pinching_points(Lotus(frozenset({BASE_PETAL}))) == ((1, 1),)
     union = lotus_of_slopes([Rational(3, 2), Rational(5, 1)])
-    assert pinching_points(union) == {(2, 3), (1, 5)}
+    assert pinching_points(union) == ((2, 3), (1, 5))
 
 
 def test_one_pinching_point_for_slope_lotuses():
     for n, q in coprime_pairs(30):
         l = lotus_of_slope(Rational(n, q))
-        assert pinching_points(l) == {(q, n)}
+        assert pinching_points(l) == ((q, n),)
         assert l.marks == frozenset({(q, n)})
 
 
@@ -170,16 +203,6 @@ def test_quiddity_agreement_with_duality():
         expected = terms + (1,) + tuple(reversed(dual)) + (1,)
         poly, _ = polygon_of_lotus(lotus_of_slope(Rational(n, q)))
         assert quiddity_of(poly) == expected
-
-
-def test_is_sublotus():
-    base = Lotus(frozenset({BASE_PETAL}))
-    l32 = lotus_of_slope(Rational(3, 2)).unmarked()
-    l21 = lotus_of_slope(Rational(2, 1)).unmarked()
-    assert is_sublotus(base, l32)
-    assert is_sublotus(l32, l32)
-    assert is_sublotus(l21, l32)
-    assert not is_sublotus(l32, l21)
 
 
 def test_polygon_of_lotus_roundtrip():

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from friezelotus.polyparse import (ParseError, Poly2, compact_edges, parse_poly,
-                                   poly_to_string, restrict_to_edge)
+from friezelotus.polyparse import (MAX_NESTING, ParseError, Poly2, compact_edges,
+                                   parse_poly, poly_to_string, restrict_to_edge)
 
 
 def test_parse_two_terms():
@@ -40,6 +40,16 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_poly("x + z")
     assert err.value.pos == 4
+
+
+def test_nesting_ceiling():
+    # the ceiling counts open parentheses, not groups side by side
+    deep = "(" * MAX_NESTING + "x-y" + ")" * MAX_NESTING
+    assert parse_poly(deep) == parse_poly("x-y")
+    assert parse_poly(f"{deep}*{deep}") == parse_poly("(x-y)*(x-y)")
+    with pytest.raises(ParseError) as err:
+        parse_poly("(" + deep + ")")
+    assert str(err.value) == f"parentheses nested deeper than {MAX_NESTING} at position {MAX_NESTING}"
 
 
 def test_print_parse_roundtrip_examples():

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -269,6 +270,22 @@ def test_roundtrip_curve_fan_lotus():
         assert lotus_of_slopes(slopes).petals == l.petals
 
 
+def test_pinching_points_come_in_increasing_slope():
+    for l in random_products(300, 12, seed=14):
+        points = pinching_points(l)
+        # the slope of (x, y) is y/x, compared by cross multiplication
+        assert all(a[1] * b[0] < b[1] * a[0] for a, b in zip(points, points[1:]))
+
+
+def test_curve_factors_by_decreasing_slope():
+    # the order the factors were once sorted into: d/c descending
+    by_slope = cmp_to_key(lambda f, g: g[0] * f[1] - f[0] * g[1])
+    for l in random_products(300, 12, seed=15) + [Lotus(frozenset({BASE_PETAL}))]:
+        points = [pt for pt, c in incidence_counts(l).items() if c == 1 and pt not in (E1, E2)]
+        want = sorted(((d, c) for c, d in points), key=by_slope)
+        assert curve_of_lotus(l).factors == tuple(want)
+
+
 def check_weights_read_off_boundary(l: Lotus) -> None:
     """Weights read off boundary neighbours against petal incidences counted
     one petal at a time, and against the polygon's quiddity."""
@@ -278,8 +295,7 @@ def check_weights_read_off_boundary(l: Lotus) -> None:
     assert g.weights == tuple(-counts[pt] for pt in chain[1:-1])
     interior = quiddity_of(polygon_of_lotus(l)[0])[1:-1]
     assert tuple(-w for w in reversed(g.weights)) == interior
-    assert pinching_points(l) == {pt for pt, c in counts.items()
-                                  if c == 1 and pt not in (E1, E2)}
+    assert pinching_points(l) == tuple(pt for pt in chain[1:-1] if counts[pt] == 1)
     assert set(chain) == {E1, E2}.union(*((p.u, p.v, p.apex) for p in l.petals))
 
 

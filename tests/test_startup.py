@@ -16,9 +16,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 
-def fresh(*args: str) -> subprocess.CompletedProcess:
+def fresh(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-S", *args], env=env,
+    return subprocess.run([sys.executable, "-S", *args], env=env, input=stdin,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -34,3 +34,14 @@ def test_fresh_process_reproduces_golden_entry():
     case = next(c for c in cases if c["argv"] == ["hj", "11/8"])
     proc = fresh("-m", "friezelotus", *case["argv"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_deep_nesting_is_one_line_on_stderr():
+    # the parser's nesting ceiling, and the JSON decoder's recursion limit,
+    # each give one diagnostic line with no traceback
+    for argv, stdin in ((["--poly", "(" * 5000 + "x" + ")" * 5000], None),
+                        (["--poly", "(" * 101 + "x" + ")" * 101], None),
+                        (["--stdin"], "[" * 100_000)):
+        proc = fresh("-m", "friezelotus", "graph", *argv, stdin=stdin)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
