@@ -349,21 +349,20 @@ def _cmd_partials(args, stdin_text) -> str:
 
 def _cmd_count(args, stdin_text) -> str:
     n = args.n
-    limit = sys.get_int_max_str_digits()  # the interpreter's, 0 for none
+    # the interpreter's limit, or its default where the limit is off (0)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     too_long = f"the count for n = {n} has more than {limit} digits"
+    ceiling = 10 ** limit
     # the count is at least C_n/2 >= 4**n / (2(2n+1)(n+1)), so once that
-    # bound passes 10**limit the count need not be computed to be refused
-    if limit and (2 * n - (2 * (2 * n + 1) * (n + 1)).bit_length()
-                  >= (10 ** limit).bit_length()):
+    # bound passes the ceiling the count need not be computed to be refused
+    if 2 * n - (2 * (2 * n + 1) * (n + 1)).bit_length() >= ceiling.bit_length():
         raise ValueError(too_long)
     value = count_resolution_graphs(n)
-    try:
-        text = str(value)
-    except ValueError:
-        raise ValueError(too_long) from None
+    if value >= ceiling:
+        raise ValueError(too_long)
     if args.json:
         return _dump({"n": n, "count": value})
-    return f"{text}\n"
+    return f"{value}\n"
 
 
 def _cmd_render(args, stdin_text) -> str:

@@ -13,7 +13,7 @@ which also build every frieze entry elsewhere in this package.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from math import gcd
 
 # Ceiling on sizes read off an input before anything is built: a slope's
@@ -144,13 +144,10 @@ def hj_expand(x: Rational) -> tuple[int, ...]:
 def hj_evaluate(terms: Sequence[int]) -> Rational:
     """Reduced value of an expansion, via the continuant quotient
     P_r(b1..br) / P_{r-1}(b2..br).  Numerator and denominator of that
-    quotient are automatically coprime."""
+    quotient are automatically coprime, and positive once the terms are
+    checked: continuants of terms >= 2 grow with each term."""
     _check_expansion(terms)
-    num = continuant(terms)
-    den = continuant(terms[1:])
-    if num <= 0 or den <= 0:
-        raise ValueError(f"not a valid expansion: {list(terms)}")
-    return Rational(num, den)
+    return Rational(continuant(terms), continuant(terms[1:]))
 
 
 def _check_expansion(terms: Sequence[int]) -> None:
@@ -170,11 +167,6 @@ class KidohDual(namedtuple("KidohDual", "c d dual")):
 
     __slots__ = ()
 
-    @property
-    def polygon_size(self) -> int:
-        """m = sum(b_i) - r + 3 for the primal expansion = sum(c) + sum(d) + 2."""
-        return sum(self.c) + sum(self.d) + 2
-
 
 def kidoh_dual(x: Rational) -> KidohDual:
     """Dual expansion of n/(n-q) for x = n/q with n > q > 0.
@@ -191,22 +183,3 @@ def kidoh_dual(x: Rational) -> KidohDual:
     dual[-1] -= 1  # the last block closes with ck + 1
     return KidohDual(c, d, tuple(dual))
 
-
-def all_expansions(total: int) -> Iterator[tuple[int, ...]]:
-    """All expansions with every term >= 2 and sum(b_i) - r = total.
-
-    These are exactly the expansions of values > 1 whose two-eared polygon
-    has total + 3 vertices.
-    """
-    if total < 1:
-        return
-    if total == 1:
-        yield (2,)
-        return
-    for first in range(2, total + 2):
-        rest = total - (first - 1)
-        if rest == 0:
-            yield (first,)
-        else:
-            for tail in all_expansions(rest):
-                yield (first,) + tail

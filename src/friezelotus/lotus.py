@@ -89,8 +89,6 @@ class Lotus(namedtuple("Lotus", "petals marks")):
             parent = p.parent()
             if parent is not None and parent not in petals:
                 raise ValueError(f"petal set is not parent-closed: {p} lacks {parent}")
-        if petals and BASE_PETAL not in petals:
-            raise ValueError("a nonempty lotus contains the base petal")
         self = _lotus(petals, marks)
         if marks:
             boundary = set(lateral_boundary(self))

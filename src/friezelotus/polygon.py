@@ -50,25 +50,11 @@ class TriangulatedPolygon(namedtuple("TriangulatedPolygon", "m diagonals")):
         return tuple.__new__(cls, (m, diagonals))
 
 
-def make_polygon(m: int, diagonals) -> TriangulatedPolygon:
-    return TriangulatedPolygon(m, frozenset(tuple(sorted(d)) for d in diagonals))
-
-
 def _is_inner(d: Diagonal, m: int) -> bool:
     i, j = d
     if not (1 <= i < j <= m):
         return False
     return j - i >= 2 and (i, j) != (1, m)
-
-
-def diagonals_cross(d1: Diagonal, d2: Diagonal, m: int) -> bool:
-    """True iff the chords strictly interleave in the cyclic order 1..m."""
-    i, j = sorted(d1)
-    k, l = sorted(d2)
-    for v in (i, j, k, l):
-        if not 1 <= v <= m:
-            raise ValueError(f"vertex {v} outside 1..{m}")
-    return (i < k < j < l) or (k < i < l < j)
 
 
 def quiddity_of(p: TriangulatedPolygon) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Exact bivariate integer polynomials: parsing, printing, Newton support.
+"""Exact bivariate integer polynomials: parsing and Newton support.
 
 Grammar (whitespace ignored; ``pos`` in errors is a 0-based offset):
 
@@ -76,9 +76,6 @@ class Poly2:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.terms == other.terms
-
-    def __str__(self) -> str:
-        return poly_to_string(self)
 
 
 def parse_poly(src: str) -> Poly2:
@@ -169,23 +166,6 @@ class _Parser:
         if start == self.pos:
             raise ParseError("expected an integer", self.pos)
         return int(self.src[start:self.pos])
-
-
-def poly_to_string(p: Poly2) -> str:
-    """Canonical form: graded lexicographic on (i, j), descending."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for (i, j) in sorted(p.terms, key=lambda e: (e[0] + e[1], e[0], e[1]), reverse=True):
-        c = p.terms[(i, j)]
-        mono = "".join((f"x^{i}" if i > 1 else "x" * min(i, 1),
-                        f"y^{j}" if j > 1 else "y" * min(j, 1)))
-        body = str(abs(c)) if not mono else (mono if abs(c) == 1 else f"{abs(c)}{mono}")
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

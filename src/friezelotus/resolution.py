@@ -83,9 +83,8 @@ def graph_of_lotus(l: Lotus) -> ResolutionGraph:
 
 def curve_of_lotus(l: Lotus) -> PlaneCurve:
     """Curve with the fewest binomial factors whose lotus is ``l``: one
-    factor x^d - y^c per pinching point (c, d), by decreasing slope d/c."""
-    if l.is_segment:
-        return PlaneCurve(((1, 1),))  # smallest smooth representative x - y
+    factor x^d - y^c per pinching point (c, d), by decreasing slope d/c.
+    The segment has none: its curve is the empty product 1."""
     return PlaneCurve(tuple((d, c) for c, d in reversed(pinching_points(l))))
 
 

@@ -48,20 +48,18 @@ def reduce(p: TriangulatedPolygon, d: Diagonal) -> ReductionResult:
     if d not in p.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
     i, j = d
-    kept = _subpolygon(p, [*range(1, i + 1), *range(j, p.m + 1)], d)
-    dropped = _subpolygon(p, [*range(i, j + 1)], d)
+    # no diagonal crosses the cut: each other one lies inside [i, j] or has
+    # both ends in [1, i] and [j, m], so relabelling in order is a shift
+    shift = j - i - 1
+    inner, outer = set(), set()
+    for a, b in p.diagonals - {d}:
+        if i <= a and b <= j:
+            inner.add((a - i + 1, b - i + 1))
+        else:
+            outer.add((a - shift if a > i else a, b - shift if b > i else b))
+    kept = TriangulatedPolygon(p.m - shift, frozenset(outer))
+    dropped = TriangulatedPolygon(j - i + 1, frozenset(inner))
     return ReductionResult(polygon=kept, quiddity=quiddity_of(kept), dropped=dropped)
-
-
-def _subpolygon(p: TriangulatedPolygon, labels: list[int], cut: Diagonal) -> TriangulatedPolygon:
-    relabel = {old: t + 1 for t, old in enumerate(labels)}
-    keep = set(labels)
-    diagonals = set()
-    for a, b in p.diagonals:
-        if (a, b) != cut and a in keep and b in keep:
-            na, nb = relabel[a], relabel[b]
-            diagonals.add((min(na, nb), max(na, nb)))
-    return TriangulatedPolygon(len(labels), frozenset(diagonals))
 
 
 def reduction_chain(l: Lotus) -> list[ReductionResult]:

@@ -69,6 +69,30 @@ def random_triangulation(m: int, rng: random.Random) -> TriangulatedPolygon:
     return TriangulatedPolygon(m, frozenset(diagonals))
 
 
+def make_polygon(m: int, diagonals) -> TriangulatedPolygon:
+    return TriangulatedPolygon(m, frozenset(tuple(sorted(d)) for d in diagonals))
+
+
+def diagonals_cross(d1, d2, m: int) -> bool:
+    """True iff the chords strictly interleave in the cyclic order 1..m."""
+    i, j = sorted(d1)
+    k, l = sorted(d2)
+    for v in (i, j, k, l):
+        if not 1 <= v <= m:
+            raise ValueError(f"vertex {v} outside 1..{m}")
+    return (i < k < j < l) or (k < i < l < j)
+
+
+def subpolygon(t: TriangulatedPolygon, labels: list[int], cut) -> TriangulatedPolygon:
+    """The piece of ``t`` on the given increasing labels, relabelled 1, 2, ...
+    in order through a lookup table, keeping every diagonal but ``cut`` with
+    both ends among them."""
+    relabel = {old: k + 1 for k, old in enumerate(labels)}
+    diagonals = {(relabel[a], relabel[b]) for a, b in t.diagonals
+                 if (a, b) != cut and a in relabel and b in relabel}
+    return TriangulatedPolygon(len(labels), frozenset(diagonals))
+
+
 def triangles_of(t: TriangulatedPolygon) -> tuple[tuple[int, int, int], ...]:
     """The m-2 vertex-sorted triangles of ``t`` in pre-order from the edge
     [1, m], by a walk that finds the apex on each chord it reaches as the

@@ -5,6 +5,7 @@ import sys
 import time
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from friezelotus.cli import frieze_to_json, run
@@ -63,6 +64,16 @@ def test_count_too_large_to_print(capsys):
         assert run(argv) == (1, "")
         err = capsys.readouterr().err
         assert err == f"error: the count for n = 100000 has more than {limit} digits\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["graph", "--poly", "0"], "error: the zero polynomial is excluded\n"),
+    (["partials", "--slopes", "0/1"], "error: the segment lotus has no resolutions\n"),
+    (["graph", "--poly", "x)"], "error: unexpected ')' at position 1\n"),
+])
+def test_refusals_name_their_cause(argv, err, capsys):
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == err
 
 
 def test_partials_running():

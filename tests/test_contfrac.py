@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -130,11 +131,23 @@ def test_kidoh_quiddity_matches_polygon_recount():
 
 def test_kidoh_sizes():
     kd = kidoh_dual(Rational(11, 8))
-    assert kd.polygon_size == 8
+    assert sum(kd.c) + sum(kd.d) + 2 == 8
     assert len(kd.dual) == 2
     kd = kidoh_dual(Rational(6, 1))
-    assert kd.polygon_size == 8
+    assert sum(kd.c) + sum(kd.d) + 2 == 8
     assert len(kd.dual) == 5
+
+
+@given(st.integers(1, 9), st.lists(st.integers(2, 9), max_size=11))
+def test_evaluate_random_expansions_by_fractions(first, rest):
+    terms = (first, *rest)
+    value = Fraction(terms[-1])
+    for b in reversed(terms[:-1]):
+        value = b - 1 / value
+    x = hj_evaluate(terms)
+    assert x.num >= 1 and x.den >= 1
+    assert Fraction(x.num, x.den) == value
+    assert hj_expand(x) == terms
 
 
 def test_roundtrip_below_one():

@@ -57,6 +57,21 @@ def test_lotus_requires_parent_closure():
         Lotus(frozenset({BASE_PETAL, petal((1, 1), (1, 2))}))
 
 
+def test_petal_sets_without_the_base_fail_parent_closure():
+    # every other petal's parent chain ends at the base petal, so a nonempty
+    # set without it has a petal whose parent is missing
+    rng = random.Random(15)
+    for _ in range(300):
+        slopes = [Rational(rng.randint(1, 40), rng.randint(1, 40))
+                  for _ in range(rng.randint(1, 4))]
+        rest = sorted(lotus_of_slopes(slopes).petals - {BASE_PETAL})
+        if not rest:
+            continue
+        for petals in (rest, rng.sample(rest, rng.randint(1, len(rest)))):
+            with pytest.raises(ValueError, match="^petal set is not parent-closed: "):
+                Lotus(frozenset(petals))
+
+
 def test_lotus_of_slope_3_2():
     l = lotus_of_slope(Rational(3, 2))
     assert l.petals == frozenset({petal((1, 0), (0, 1)), petal((1, 1), (0, 1)),

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from friezelotus.polygon import (TriangulatedPolygon, diagonals_cross,
-                                 enumerate_triangulations, flip, make_polygon,
-                                 polygon_from_quiddity, polygon_of_cf,
-                                 quiddity_of)
+from friezelotus.polygon import (TriangulatedPolygon, enumerate_triangulations, flip,
+                                 polygon_from_quiddity, polygon_of_cf, quiddity_of)
 
-from conftest import (catalan_by_recurrence, outcome, quiddities, random_triangulation,
-                      triangles_of)
+from conftest import (catalan_by_recurrence, diagonals_cross, make_polygon, outcome,
+                      quiddities, random_triangulation, triangles_of)
 
 
 def test_validation_rejects_bad_polygons():
@@ -190,10 +188,22 @@ def test_quiddity_sum_and_ears():
             assert sum(1 for a in q if a == 1) >= 2
 
 
+def expansions(total):
+    """All expansions with every term >= 2 and sum(b_i) - r = total: one
+    term c + 1 per part c of a composition of total."""
+    for cuts in product((False, True), repeat=total - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        yield tuple(c + 1 for c in parts)
+
+
 def test_two_eared_triangulations_are_exactly_the_cf_images():
-    from friezelotus.contfrac import all_expansions
     for m in range(4, 10):
-        images = {polygon_of_cf(e).diagonals for e in all_expansions(m - 3)}
+        images = {polygon_of_cf(e).diagonals for e in expansions(m - 3)}
         two_eared_at_v1 = {t.diagonals for t in enumerate_triangulations(m)
                            if quiddity_of(t).count(1) == 2 and quiddity_of(t)[0] == 1}
         assert images == two_eared_at_v1

@@ -78,6 +78,16 @@ def test_curve_of_lotus_examples():
     assert curve_of_lotus(Lotus(frozenset({BASE_PETAL}))).factors == ((1, 1),)
 
 
+def test_curve_of_the_segment_is_the_empty_product():
+    # x - y has the one-petal lotus marked at (1,1); the polynomial 1 has
+    # no Newton edge, so its lotus is the unmarked segment
+    segment = Lotus(frozenset())
+    assert curve_of_lotus(segment) == PlaneCurve(())
+    assert lotus_of_poly(PlaneCurve(()).polynomial()) == segment
+    assert lotus_of_poly(parse_poly("x - y")) == Lotus(frozenset({BASE_PETAL}),
+                                                       frozenset({(1, 1)}))
+
+
 def test_plane_curve_validation_and_str():
     with pytest.raises(ValueError):
         PlaneCurve(((2, 4),))  # not coprime

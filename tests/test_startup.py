@@ -10,14 +10,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 
-def fresh(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def fresh(*args: str, stdin: str | None = None,
+          env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     return subprocess.run([sys.executable, "-S", *args], env=env, input=stdin,
                           capture_output=True, text=True, timeout=60)
 
@@ -45,3 +47,18 @@ def test_deep_nesting_is_one_line_on_stderr():
         proc = fresh("-m", "friezelotus", "graph", *argv, stdin=stdin)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+def test_count_is_bounded_with_the_digit_limit_off():
+    # PYTHONINTMAXSTRDIGITS=0 lifts the interpreter's limit; the count then
+    # keeps the default one, refused by the early bound or after computing
+    limit = sys.int_info.default_max_str_digits
+    off = {"PYTHONINTMAXSTRDIGITS": "0"}
+    for n in ("1000000", "7155"):
+        start = time.perf_counter()
+        proc = fresh("-m", "friezelotus", "count", n, env=off)
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: the count for n = {n} has more than {limit} digits\n")
+    proc = fresh("-m", "friezelotus", "count", "7152", env=off)
+    assert proc.returncode == 0 and len(proc.stdout) == limit + 1

@@ -8,15 +8,15 @@ from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
 from friezelotus.lotus import (lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
                                polygon_of_lotus)
-from friezelotus.polygon import (enumerate_triangulations, flip_quadrilateral,
-                                 make_polygon, quiddity_of)
+from friezelotus.polygon import enumerate_triangulations, flip_quadrilateral, quiddity_of
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import (curve_of_lotus, graph_of_lotus, lotus_of_poly,
                                     partial_resolutions)
 from friezelotus.transform import (base_side_petals, mutate_lotus, quad_type,
                                    reduce, reduction_chain)
 
-from conftest import coprime_pairs, petal_of_triangle, random_triangulation, triangles_of
+from conftest import (coprime_pairs, make_polygon, petal_of_triangle, random_triangulation,
+                      subpolygon, triangles_of)
 
 
 def test_reduce_square_leaves_triangle():
@@ -49,6 +49,25 @@ def test_reduce_rejects_non_diagonal():
     p = make_polygon(4, [(1, 3)])
     with pytest.raises(ValueError):
         reduce(p, (2, 4))
+
+
+def check_reduce_against_relabelling(t):
+    """Both pieces of every cut against relabelling through a lookup table."""
+    for i, j in sorted(t.diagonals):
+        r = reduce(t, (i, j))
+        assert r.polygon == subpolygon(t, [*range(1, i + 1), *range(j, t.m + 1)], (i, j))
+        assert r.dropped == subpolygon(t, [*range(i, j + 1)], (i, j))
+
+
+def test_reduce_matches_relabelling_reference():
+    for m in range(4, 10):
+        for t in enumerate_triangulations(m):
+            check_reduce_against_relabelling(t)
+
+
+@given(st.integers(4, 40), st.randoms(use_true_random=False))
+def test_reduce_matches_relabelling_reference_on_random_triangulations(m, rng):
+    check_reduce_against_relabelling(random_triangulation(m, rng))
 
 
 def check_reduce_formula(t):
