@@ -30,8 +30,8 @@ from .polygon import polygon_from_quiddity, quiddity_of
 from .polyparse import parse_poly
 from .render import RenderOptions, render_frieze_text, render_graph_dot, render_lotus_svg
 from .resolution import (ResolutionGraph, count_resolution_graphs,
-                         curve_of_lotus, graph_of_lotus, is_newton_nondegenerate,
-                         lotus_of_poly, partial_resolutions)
+                         curve_of_lotus, graph_of_lotus, lotus_of_nondegenerate_poly,
+                         partial_resolutions)
 from .transform import mutate_lotus, reduce as reduce_polygon
 
 
@@ -87,11 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.set_defaults(handler=_cmd_hj)
 
-    p = sub.add_parser("frieze", help="build and print a frieze")
-    _input_opts(p)
+    p = _input_parser(sub, "frieze", "build and print a frieze", _cmd_frieze,
+                      "[--periods PERIODS] [--json] [--out FILE]")
     p.add_argument("--periods", type=int, default=1, help="periods in the text grid")
     _common(p)
-    p.set_defaults(handler=_cmd_frieze)
 
     p = sub.add_parser("embed", help="embed a quiddity into the lattice")
     p.add_argument("--quiddity", required=True, help="comma-separated quiddity")
@@ -99,47 +98,33 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.set_defaults(handler=_cmd_embed)
 
-    p = sub.add_parser("lotus", help="petal chain of slopes or a polynomial")
-    _input_opts(p)
-    _common(p)
-    p.set_defaults(handler=_cmd_lotus)
-
-    p = sub.add_parser("graph", help="dual resolution graph")
-    _input_opts(p)
-    _common(p)
-    p.set_defaults(handler=_cmd_graph)
-
-    p = sub.add_parser("reduce", help="cut the polygon along a diagonal")
-    _input_opts(p)
-    p.add_argument("--diagonal", required=True, help="diagonal i,j (vertex labels)")
-    _common(p)
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser("mutate", help="flip a diagonal and re-embed the lotus")
-    _input_opts(p)
-    p.add_argument("--diagonal", required=True, help="diagonal i,j (vertex labels)")
-    _common(p)
-    p.set_defaults(handler=_cmd_mutate)
-
-    p = sub.add_parser("partials", help="all partial resolutions")
-    _input_opts(p)
-    _common(p)
-    p.set_defaults(handler=_cmd_partials)
+    for name, summary, handler in (
+            ("lotus", "petal chain of slopes or a polynomial", _cmd_lotus),
+            ("graph", "dual resolution graph", _cmd_graph),
+            ("reduce", "cut the polygon along a diagonal", _cmd_reduce),
+            ("mutate", "flip a diagonal and re-embed the lotus", _cmd_mutate),
+            ("partials", "all partial resolutions", _cmd_partials)):
+        takes_diagonal = name in ("reduce", "mutate")
+        p = _input_parser(sub, name, summary, handler,
+                          "--diagonal DIAGONAL " * takes_diagonal + "[--json] [--out FILE]")
+        if takes_diagonal:
+            p.add_argument("--diagonal", required=True, help="diagonal i,j (vertex labels)")
+        _common(p)
 
     p = sub.add_parser("count", help="number of weighted A_n resolution chains")
     p.add_argument("n", type=int)
     _common(p)
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("render", help="emit SVG, DOT, or a frieze grid")
-    _input_opts(p)
+    p = _input_parser(sub, "render", "emit SVG, DOT, or a frieze grid", _cmd_render,
+                      "--format {svg,dot,text} [--periods PERIODS]",
+                      "[--scale SCALE] [--grid] [--weights] [--out FILE]")
     p.add_argument("--format", choices=("svg", "dot", "text"), required=True)
     p.add_argument("--periods", type=int, default=1)
     p.add_argument("--scale", type=float, default=40.0)
     p.add_argument("--grid", action="store_true", help="draw lattice grid lines (svg)")
     p.add_argument("--weights", action="store_true", help="label weights (svg)")
     p.add_argument("--out", metavar="FILE", help="write output to FILE")
-    p.set_defaults(handler=_cmd_render)
 
     return parser
 
@@ -149,7 +134,14 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
-def _input_opts(p: argparse.ArgumentParser) -> None:
+def _input_parser(sub, name: str, summary: str, handler, *usage_tail: str):
+    """A subcommand taking one input source, with usage text fixed as 3.10-3.12
+    wrap it at 80 columns: 3.13 would also wrap inside the input group."""
+    indent = "\n" + " " * len(f"usage: friezelotus {name} ")
+    usage = indent.join(("%(prog)s [-h]", "(--quiddity QUIDDITY | --rational RATIONAL"
+                         " | --slopes SLOPES | --poly POLY | --stdin)", *usage_tail))
+    p = sub.add_parser(name, help=summary, usage=usage)
+    p.set_defaults(handler=handler)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--quiddity", help="comma-separated quiddity, e.g. 1,2,2,3,2,1,3,4")
     group.add_argument("--rational", help="slope n/q")
@@ -157,6 +149,7 @@ def _input_opts(p: argparse.ArgumentParser) -> None:
     group.add_argument("--poly", help="polynomial, e.g. \"x^3-y^2\"")
     group.add_argument("--stdin", action="store_true",
                        help="read a lotus JSON document from stdin")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +180,11 @@ def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
     if args.rational is not None:
         return lotus_of_slope(Rational.parse(args.rational))
     if args.poly is not None:
-        f = parse_poly(args.poly)
-        if not is_newton_nondegenerate(f):
+        l = lotus_of_nondegenerate_poly(parse_poly(args.poly))
+        if l is None:
             raise ValueError(f"{args.poly!r} is degenerate: a compact-edge restriction "
                              "is not square-free away from the axes")
-        return lotus_of_poly(f)
+        return l
     return lotus_of_polygon(polygon_from_quiddity(_parse_quiddity(args.quiddity)), 0)
 
 

@@ -20,7 +20,8 @@ from collections.abc import Iterable, Sequence
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
 from .frieze import MAX_FRIEZE_ENTRIES, frieze_rows
-from .polygon import Diagonal, TriangulatedPolygon, polygon_from_quiddity, quiddity_of
+from .polygon import (Diagonal, TriangulatedPolygon, _polygon, polygon_from_quiddity,
+                      quiddity_of)
 
 Point = tuple[int, int]
 
@@ -59,11 +60,6 @@ class Petal(namedtuple("Petal", "u v")):
         if dx >= 0 and dy >= 0:
             return _petal(u, (dx, dy))
         return _petal((-dx, -dy), v)
-
-    def children(self) -> tuple[Petal, Petal]:
-        u, v = self
-        apex = (u[0] + v[0], u[1] + v[1])
-        return _petal(u, apex), _petal(apex, v)
 
 
 def _petal(u: Point, v: Point) -> Petal:
@@ -162,17 +158,16 @@ def petal_counts(chain: Sequence[Point]) -> list[int]:
 def lateral_boundary(l: Lotus) -> tuple[Point, ...]:
     """Boundary vertices from (1,0) to (0,1), by an in-order walk of the
     petal tree: each petal of the lotus gives way to its two children, and
-    each child outside the lotus is a boundary edge adding its far end."""
-    chain = [E1]
-    stack = [BASE_PETAL]
+    each child outside the lotus is a boundary edge adding its far end.
+    The walk holds plain (u, v) pairs, which hash and compare as petals."""
+    chain, stack = [E1], [(E1, E2)]
     while stack:
-        p = stack.pop()
-        if p in l.petals:
-            low, high = p.children()
-            stack.append(high)
-            stack.append(low)
+        u, v = pair = stack.pop()
+        if pair in l.petals:
+            apex = (u[0] + v[0], u[1] + v[1])
+            stack += ((apex, v), (u, apex))
         else:
-            chain.append(p.v)
+            chain.append(v)
     return tuple(chain)
 
 
@@ -251,4 +246,4 @@ def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
     # the base edge of every petal but the root is shared with its parent;
     # the boundary passes u before v, so v has the smaller label
     diagonals = frozenset((index[p.v], index[p.u]) for p in l.petals if p != BASE_PETAL)
-    return TriangulatedPolygon(len(verts), diagonals), verts
+    return _polygon(len(verts), diagonals), verts

@@ -23,7 +23,7 @@ class TriangulatedPolygon(namedtuple("TriangulatedPolygon", "m diagonals")):
 
     The diagonals are the whole triangulation: every triangle, apex and
     count is read off them.  Construction checks that they triangulate the
-    m-gon.
+    m-gon; this package's own builders use the unchecked ``_polygon``.
     """
 
     __slots__ = ()
@@ -34,9 +34,9 @@ class TriangulatedPolygon(namedtuple("TriangulatedPolygon", "m diagonals")):
         if len(diagonals) != m - 3:
             raise ValueError(f"a triangulated {m}-gon has {m - 3} diagonals, "
                              f"got {len(diagonals)}")
-        for d in diagonals:
-            if not _is_inner(d, m):
-                raise ValueError(f"{d} is not an inner diagonal of the {m}-gon")
+        for i, j in diagonals:
+            if not 1 <= i <= j - 2 <= m - 2 or (i, j) == (1, m):
+                raise ValueError(f"{(i, j)} is not an inner diagonal of the {m}-gon")
         # m-3 pairwise noncrossing inner diagonals triangulate the m-gon.
         # Swept by left end, longest first, the open chords nest, so a chord
         # crosses one of them exactly when it ends beyond the innermost
@@ -47,14 +47,12 @@ class TriangulatedPolygon(namedtuple("TriangulatedPolygon", "m diagonals")):
             if opened and d[1] > opened[-1][1]:
                 raise ValueError(f"diagonals {opened[-1]} and {d} cross; not a triangulation")
             opened.append(d)
-        return tuple.__new__(cls, (m, diagonals))
+        return _polygon(m, diagonals)
 
 
-def _is_inner(d: Diagonal, m: int) -> bool:
-    i, j = d
-    if not (1 <= i < j <= m):
-        return False
-    return j - i >= 2 and (i, j) != (1, m)
+def _polygon(m: int, diagonals: frozenset[Diagonal]) -> TriangulatedPolygon:
+    """A triangulation known to be valid, built without the checks."""
+    return tuple.__new__(TriangulatedPolygon, (m, diagonals))
 
 
 def quiddity_of(p: TriangulatedPolygon) -> tuple[int, ...]:
@@ -100,7 +98,7 @@ def polygon_from_quiddity(q: Sequence[int]) -> TriangulatedPolygon:
     # three are all 1 exactly when the total was 3(m - 2)
     if sum(q) != 3 * (m - 2):
         raise ValueError("not the quiddity of a triangulated polygon")
-    return TriangulatedPolygon(m, frozenset(diagonals))
+    return _polygon(m, frozenset(diagonals))
 
 
 def polygon_of_cf(terms: Sequence[int]) -> TriangulatedPolygon:
@@ -117,30 +115,6 @@ def polygon_of_cf(terms: Sequence[int]) -> TriangulatedPolygon:
     return polygon_from_quiddity(quiddity)
 
 
-def flip(p: TriangulatedPolygon, d: Diagonal) -> TriangulatedPolygon:
-    """Replace diagonal d by the opposite diagonal of its quadrilateral."""
-    i, j, k, l = flip_quadrilateral(p, d)
-    return TriangulatedPolygon(p.m, (p.diagonals - {(i, j)}) | {(k, l)})
-
-
-def flip_quadrilateral(p: TriangulatedPolygon, d: Diagonal) -> tuple[int, int, int, int]:
-    """Vertices (i, j, k, l) of the quadrilateral of diagonal d = (i, j),
-    where k < l are the apexes of its two triangles: the two vertices
-    joined to both i and j by an edge or a diagonal."""
-    d = (min(d), max(d))
-    if d not in p.diagonals:
-        raise ValueError(f"{d} is not a diagonal of the triangulation")
-    i, j = d
-    nbrs = {v: {v % p.m + 1, (v - 2) % p.m + 1} for v in d}
-    for a, b in p.diagonals:
-        if a in nbrs:
-            nbrs[a].add(b)
-        if b in nbrs:
-            nbrs[b].add(a)
-    k, l = sorted(nbrs[i] & nbrs[j])
-    return i, j, k, l
-
-
 def enumerate_triangulations(m: int) -> list[TriangulatedPolygon]:
     """All triangulations of the m-gon (the (m-2)-nd Catalan number many),
     generated by recursive splitting on the edge [1, m]."""
@@ -148,17 +122,13 @@ def enumerate_triangulations(m: int) -> list[TriangulatedPolygon]:
         raise ValueError(f"m must be within 3..{MAX_ENUM_VERTICES}")
 
     def splits(lo: int, hi: int) -> Iterator[frozenset[Diagonal]]:
+        # triangulations of the polygon lo..hi, with (lo, hi) unless an edge
+        own = {(lo, hi)} if 2 <= hi - lo < m - 1 else set()
         if hi - lo < 2:
             yield frozenset()
-            return
         for k in range(lo + 1, hi):
-            extra = set()
-            if k - lo >= 2:
-                extra.add((lo, k))
-            if hi - k >= 2:
-                extra.add((k, hi))
             for left in splits(lo, k):
                 for right in splits(k, hi):
-                    yield frozenset(extra) | left | right
+                    yield left | right | own
 
-    return [TriangulatedPolygon(m, ds) for ds in splits(1, m)]
+    return [_polygon(m, ds) for ds in splits(1, m)]

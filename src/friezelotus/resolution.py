@@ -94,7 +94,11 @@ def newton_fan(support: set[Term]) -> set[Rational]:
     An edge from (x0, y0) to (x1, y1) with x1 > x0 is orthogonal to the
     primitive vector (y0 - y1, x1 - x0), of slope (x1 - x0)/(y0 - y1).
     """
-    return {Rational(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in compact_edges(support)}
+    return _fan(compact_edges(support))
+
+
+def _fan(edges: list[tuple[Term, Term]]) -> set[Rational]:
+    return {Rational(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in edges}
 
 
 def lotus_of_poly(f: Poly2) -> Lotus:
@@ -108,6 +112,17 @@ def is_newton_nondegenerate(f: Poly2) -> bool:
     """True iff every compact-edge restriction is square-free with nonzero
     constant term (so it cuts out a smooth curve off the axes).  Edges of
     total lattice length over MAX_VERTICES are refused first."""
+    return _nondegenerate_edges(f) is not None
+
+
+def lotus_of_nondegenerate_poly(f: Poly2) -> Lotus | None:
+    """``lotus_of_poly(f)`` if ``is_newton_nondegenerate(f)``, else None."""
+    edges = _nondegenerate_edges(f)
+    return None if edges is None else lotus_of_slopes(_fan(edges))
+
+
+def _nondegenerate_edges(f: Poly2) -> list[tuple[Term, Term]] | None:
+    """The compact Newton edges of ``f`` if it is nondegenerate, else None."""
     if f.is_zero:
         raise ValueError("the zero polynomial is excluded")
     edges = compact_edges(f.support())
@@ -118,8 +133,8 @@ def is_newton_nondegenerate(f: Poly2) -> bool:
     for edge in edges:
         g = _edge_coefficients(f, edge)
         if g[0] == 0 or not _squarefree(g):
-            return False
-    return True
+            return None
+    return edges
 
 
 def _squarefree(coeffs: Sequence[int]) -> bool:
@@ -198,7 +213,8 @@ def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
     sizes = {}
     for p in sorted(l.petals, key=lambda p: -sum(p.apex)):
         n = w = 1
-        for ch in p.children():
+        (u, v), apex = p, p.apex
+        for ch in ((u, apex), (apex, v)):
             if ch in sizes:
                 nc, wc = sizes.pop(ch)
                 n, w = min(n * (1 + nc), cap), min(w * (1 + nc) + n * wc, cap)

@@ -4,20 +4,21 @@ Cutting the polygon of a lotus along a triangulation diagonal keeps the
 piece containing the base edge [1, m].  Its quiddity, counted off the kept
 piece, equals a closed formula in the frieze entries of the whole polygon
 (see ``reduce``), so every partial-resolution weight chain already sits
-inside the full frieze.  Mutation flips a diagonal and re-embeds the new
-triangulation with vertex 1 back at (0,1).
+inside the full frieze.
 
-Mutation data are read off the polygon's labels, never searched for in the
-lattice: a chord's labels fix the petal on it (see ``lotus._chord_petal``),
-and a quadrilateral's labels fix its type and its base side.
+Mutation flips a diagonal, rewriting the lotus only where the flip
+happens.  Its data are never searched for in the lattice: a chord's labels
+fix the petal on it (see ``lotus._chord_petal``), and that petal and its
+parent fix the quadrilateral, its type and its base side.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .lotus import Lotus, _chord_petal, lotus_of_polygon, polygon_of_lotus
-from .polygon import Diagonal, TriangulatedPolygon, flip, flip_quadrilateral, quiddity_of
+from .lotus import (BASE_PETAL, Lotus, Petal, _chord_petal, _lotus, _petal, lateral_boundary,
+                    polygon_of_lotus)
+from .polygon import Diagonal, TriangulatedPolygon, _polygon, quiddity_of
 
 
 class ReductionResult(namedtuple("ReductionResult", "polygon quiddity dropped")):
@@ -57,8 +58,8 @@ def reduce(p: TriangulatedPolygon, d: Diagonal) -> ReductionResult:
             inner.add((a - i + 1, b - i + 1))
         else:
             outer.add((a - shift if a > i else a, b - shift if b > i else b))
-    kept = TriangulatedPolygon(p.m - shift, frozenset(outer))
-    dropped = TriangulatedPolygon(j - i + 1, frozenset(inner))
+    kept = _polygon(p.m - shift, frozenset(outer))
+    dropped = _polygon(j - i + 1, frozenset(inner))
     return ReductionResult(polygon=kept, quiddity=quiddity_of(kept), dropped=dropped)
 
 
@@ -71,16 +72,49 @@ def reduction_chain(l: Lotus) -> list[ReductionResult]:
     return cuts
 
 
-def mutate_lotus(l: Lotus, d: Diagonal) -> Lotus:
-    """Flip diagonal ``d`` (labels of the lotus polygon) in the underlying
-    triangulation and re-embed with vertex 1 at (0,1).
+def _quadrilateral(l: Lotus, d: Diagonal) -> tuple[Petal, Petal]:
+    """The petal p on diagonal ``d`` (labels of the lotus polygon) and its
+    parent q, whose triangle and p's apex make the quadrilateral of d.  A
+    chord is a diagonal when its petal is in the lotus but is not the base."""
+    if l.is_segment:
+        raise ValueError("the segment lotus has no polygon")
+    verts, (i, j) = lateral_boundary(l)[::-1], sorted(d)
+    p = _chord_petal(verts, (i, j)) if 1 <= i and j <= len(verts) else BASE_PETAL
+    if p == BASE_PETAL or p not in l.petals:
+        raise ValueError(f"{(i, j)} is not a diagonal of the triangulation")
+    return p, p.parent()
 
-    The base-side petals are untouched; the quadrilateral of the flip swaps
-    its two petals and the far parts are refitted unimodularly.
+
+def mutate_lotus(l: Lotus, d: Diagonal) -> Lotus:
+    """Flip diagonal ``d`` (labels of the lotus polygon), giving the unmarked
+    lotus of the flipped triangulation with vertex 1 at (0,1).
+
+    With p the petal on d and q = (a, b) its parent, of apex c, base-side
+    petals stay and p gives way to q's other child: the vertex at p's apex
+    moves to c, and the one at c a step further out.  The far parts on p's
+    two upper edges and q's other one keep their order, each moved by the
+    unimodular map from its old base edge to its new one.  Cost: one
+    boundary walk plus the far parts.
     """
-    poly, _ = polygon_of_lotus(l)
-    flipped = flip(poly, d)
-    return lotus_of_polygon(flipped, 0)
+    p, q = _quadrilateral(l, d)
+    (a, b), c, e = q, q.apex, p.apex
+    if p.u == a:  # p is q's low child (a, c); its place goes to (c, b)
+        f = (c[0] + b[0], c[1] + b[1])
+        far, born = [((a, e), (a, c)), ((e, c), (c, f)), ((c, b), (f, b))], [_petal(c, b)]
+    else:  # p is q's high child (c, b); its place goes to (a, c)
+        f = (a[0] + c[0], a[1] + c[1])
+        far, born = [((a, c), (a, f)), ((c, e), (f, c)), ((e, b), (c, b))], [_petal(a, c)]
+    # the map is linear: the image of an apex u + v is the sum of theirs
+    gone = [p]
+    while far:
+        old, (u1, v1) = far.pop()
+        if old in l.petals:
+            gone.append(old)
+            born.append(_petal(u1, v1))
+            (u, v), w1 = old, (u1[0] + v1[0], u1[1] + v1[1])
+            w = (u[0] + v[0], u[1] + v[1])
+            far += (((u, w), (u1, w1)), ((w, v), (w1, v1)))
+    return _lotus(l.petals.difference(gone).union(born))
 
 
 def quad_type(l: Lotus, d: Diagonal) -> int:
@@ -90,25 +124,17 @@ def quad_type(l: Lotus, d: Diagonal) -> int:
     triangle {a, b, c} (b = a + c in the lattice) and d' the apex of the
     petal based on [a, b], the type is 1 when (a, c, b) is in clockwise
     order as drawn (y axis up), and 2 when (a, b, c) is.  Mutation toggles
-    the type.  On the labels of the lotus polygon, with d = (i, j), the
-    base-side triangle is the one whose third vertex c lies outside [i, j],
-    and the type is 1 exactly when c < i.
+    the type, which is 1 exactly when the petal on d is its parent's low child.
     """
-    poly, _ = polygon_of_lotus(l)
-    i, _, k, _ = flip_quadrilateral(poly, d)
-    return 1 if k < i else 2
+    p, q = _quadrilateral(l, d)
+    return 1 if p.u == q.u else 2
 
 
 def base_side_petals(l: Lotus, d: Diagonal) -> frozenset:
-    """Petals strictly below the quadrilateral of diagonal ``d``: everything
-    except the two quadrilateral petals and the parts hanging off its three
-    non-base-side edges.  This set is preserved by mutation.
-
-    They are the petals on the chords (the diagonals and [1, m]) reaching
-    outside the labels [min(quad), max(quad)], the side of the
-    quadrilateral facing [1, m]."""
-    poly, verts = polygon_of_lotus(l)
-    quad = flip_quadrilateral(poly, d)
-    lo, hi = min(quad), max(quad)
-    return frozenset(_chord_petal(verts, c) for c in poly.diagonals | {(1, poly.m)}
-                     if c[0] < lo or c[1] > hi)
+    """Petals strictly below the quadrilateral of diagonal ``d``, which
+    mutation preserves: all but the parent (a, b) of the petal on d and the
+    petals above it (the other quadrilateral petal and the far parts), the
+    ones with both basis vectors x in the cone det(a, x), det(x, b) >= 0."""
+    _, (a, b) = _quadrilateral(l, d)
+    return frozenset(r for r in l.petals if not all(
+        a[0] * x[1] >= a[1] * x[0] and x[0] * b[1] >= x[1] * b[0] for x in r))

@@ -173,3 +173,35 @@ def coprime_pairs(limit: int):
     from math import gcd
     return [(n, q) for n in range(2, limit + 1)
             for q in range(1, n) if gcd(n, q) == 1]
+
+
+def flip_quadrilateral(p: TriangulatedPolygon, d) -> tuple[int, int, int, int]:
+    """Vertices (i, j, k, l) of the quadrilateral of diagonal d = (i, j),
+    where k < l are the apexes of its two triangles: the two vertices
+    joined to both i and j by an edge or a diagonal."""
+    d = (min(d), max(d))
+    if d not in p.diagonals:
+        raise ValueError(f"{d} is not a diagonal of the triangulation")
+    i, j = d
+    nbrs = {v: {v % p.m + 1, (v - 2) % p.m + 1} for v in d}
+    for a, b in p.diagonals:
+        if a in nbrs:
+            nbrs[a].add(b)
+        if b in nbrs:
+            nbrs[b].add(a)
+    k, l = sorted(nbrs[i] & nbrs[j])
+    return i, j, k, l
+
+
+def flip(p: TriangulatedPolygon, d) -> TriangulatedPolygon:
+    """Replace diagonal d by the opposite diagonal of its quadrilateral,
+    through the checked public constructor."""
+    i, j, k, l = flip_quadrilateral(p, d)
+    return TriangulatedPolygon(p.m, (p.diagonals - {(i, j)}) | {(k, l)})
+
+
+def mutate_by_reembedding(l, d):
+    """The mutation oracle: flip d in the lotus polygon and embed the
+    flipped triangulation afresh with vertex 1 at (0,1)."""
+    from friezelotus.lotus import lotus_of_polygon, polygon_of_lotus
+    return lotus_of_polygon(flip(polygon_of_lotus(l)[0], d), 0)

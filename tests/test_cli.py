@@ -320,6 +320,43 @@ def test_newton_edge_ceiling_rejects_before_restricting(capsys):
         f"over the limit of {MAX_VERTICES}\n")
 
 
+def test_poly_input_builds_its_newton_hull_once(capsys, monkeypatch):
+    import friezelotus.polyparse as polyparse_module
+    import friezelotus.resolution as resolution_module
+    calls = []
+
+    def counted(support):
+        calls.append(support)
+        return polyparse_module.compact_edges(support)
+
+    monkeypatch.setattr(resolution_module, "compact_edges", counted)
+    for argv in (["lotus", "--poly", "(x^2+y)*(x+y^2)"], ["graph", "--poly", "x^3-y^2"],
+                 ["frieze", "--poly", "(x^5-y^2)*(x^3-y)*(x-y)"], ["partials", "--poly", "x^2"],
+                 ["graph", "--poly", "(x^2+y)*(x^2+y)"], ["graph", "--poly", "x^1000001-y^1000001"]):
+        calls.clear()
+        run(argv)
+        assert len(calls) == 1, argv
+    capsys.readouterr()
+
+
+def test_input_usage_is_the_recorded_layout(monkeypatch):
+    # the input subcommands print fixed usage text: argparse's own at 80
+    # columns up to line breaks, the same whatever the terminal width
+    import argparse
+    from friezelotus.cli import _build_parser
+    for width in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", width)
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        for name in ("frieze", "lotus", "graph", "reduce", "mutate", "partials", "render"):
+            p = subparsers[name]
+            fixed, p.usage = p.format_usage(), None
+            assert fixed.split() == p.format_usage().split()
+            assert fixed.splitlines()[1].strip() == (
+                "(--quiddity QUIDDITY | --rational RATIONAL | --slopes SLOPES | --poly POLY "
+                "| --stdin)")
+
+
 def test_frieze_entry_ceiling(capsys):
     for argv, m in ((["frieze", "--rational", "4001/4000"], 4003),
                     (["frieze", "--quiddity", ",".join(["1"] * 3200)], 3200)):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from friezelotus.polygon import (TriangulatedPolygon, enumerate_triangulations, flip,
+from friezelotus.contfrac import Rational
+from friezelotus.lotus import lotus_of_polygon, lotus_of_slopes, polygon_of_lotus
+from friezelotus.polygon import (TriangulatedPolygon, enumerate_triangulations,
                                  polygon_from_quiddity, polygon_of_cf, quiddity_of)
+from friezelotus.transform import reduce
 
-from conftest import (catalan_by_recurrence, diagonals_cross, make_polygon, outcome,
+from conftest import (catalan_by_recurrence, diagonals_cross, flip, make_polygon, outcome,
                       quiddities, random_triangulation, triangles_of)
 
 
@@ -277,3 +280,18 @@ def test_worklist_ear_cut_matches_smallest_label_exhaustive():
 @given(quiddities())
 def test_worklist_ear_cut_matches_smallest_label(q):
     assert_same_as_smallest_label_ear_cut(q)
+
+
+@given(st.integers(3, 40), st.randoms(use_true_random=False))
+def test_unchecked_constructions_give_valid_triangulations(m, rng):
+    # the public constructor re-checks what the package's own builders skip
+    t = random_triangulation(m, rng)
+    slopes = [Rational(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+    built = [polygon_from_quiddity(quiddity_of(t)), polygon_of_lotus(lotus_of_polygon(t, 0))[0],
+             polygon_of_lotus(lotus_of_slopes(slopes))[0]]
+    for d in t.diagonals:
+        built += reduce(t, d)[::2]
+    if m <= 9:
+        built += enumerate_triangulations(m)
+    for p in built:
+        assert TriangulatedPolygon(p.m, p.diagonals) == p

@@ -1,22 +1,24 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
-from friezelotus.lotus import (lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
+from friezelotus.lotus import (Lotus, Petal, lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
                                polygon_of_lotus)
-from friezelotus.polygon import enumerate_triangulations, flip_quadrilateral, quiddity_of
+from friezelotus.polygon import enumerate_triangulations, quiddity_of
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import (curve_of_lotus, graph_of_lotus, lotus_of_poly,
                                     partial_resolutions)
 from friezelotus.transform import (base_side_petals, mutate_lotus, quad_type,
                                    reduce, reduction_chain)
 
-from conftest import (coprime_pairs, make_polygon, petal_of_triangle, random_triangulation,
-                      subpolygon, triangles_of)
+from conftest import (coprime_pairs, flip_quadrilateral, make_polygon, mutate_by_reembedding,
+                      outcome, petal_of_triangle, random_triangulation, subpolygon,
+                      triangles_of)
 
 
 def test_reduce_square_leaves_triangle():
@@ -185,7 +187,6 @@ def test_pentagon_mutation_cycle():
 
 
 def test_pentagon_double_mutation_is_identity_each_step():
-    from friezelotus.polygon import flip, flip_quadrilateral
     cur = lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).unmarked()
     for diagonal, _ in PENTAGON_SEQUENCE:
         poly, _ = polygon_of_lotus(cur)
@@ -197,8 +198,6 @@ def test_pentagon_double_mutation_is_identity_each_step():
 
 
 def test_mutation_involution_exhaustive():
-    from friezelotus.lotus import lotus_of_polygon
-    from friezelotus.polygon import flip_quadrilateral
     for m in range(4, 8):
         for t in enumerate_triangulations(m):
             l = lotus_of_polygon(t, 0)
@@ -214,11 +213,9 @@ def test_mutation_quiddity_changes_by_one():
     rng = random.Random(11)
     for _ in range(20):
         t = random_triangulation(10, rng)
-        from friezelotus.lotus import lotus_of_polygon
         l = lotus_of_polygon(t, 0)
         poly, _ = polygon_of_lotus(l)
         d = sorted(poly.diagonals)[rng.randrange(len(poly.diagonals))]
-        from friezelotus.polygon import flip_quadrilateral
         i, j, k1, k2 = flip_quadrilateral(poly, d)
         before = quiddity_of(poly)
         after_poly, _ = polygon_of_lotus(mutate_lotus(l, d))
@@ -226,6 +223,75 @@ def test_mutation_quiddity_changes_by_one():
         deltas = {v: after[v - 1] - before[v - 1] for v in range(1, 11)
                   if after[v - 1] != before[v - 1]}
         assert deltas == {i: -1, j: -1, k1: 1, k2: 1}
+
+
+def assert_mutations_match_the_oracle(l, diagonals):
+    # the local rewrite against flipping the lotus polygon and embedding it
+    # afresh; the result also passes the checked public constructors
+    for d in diagonals:
+        mutated = mutate_lotus(l, d)
+        assert mutated == mutate_by_reembedding(l, d)
+        assert Lotus(mutated.petals) == mutated
+        assert all(Petal(p.u, p.v) == p for p in mutated.petals)
+
+
+def test_mutation_matches_the_oracle_exhaustive():
+    for m in range(4, 10):
+        for t in enumerate_triangulations(m):
+            assert_mutations_match_the_oracle(lotus_of_polygon(t, 0), sorted(t.diagonals))
+
+
+# up to 4 slopes of at most 9 petals each: polygons of up to 38 vertices
+small_slopes = st.builds(Rational, st.integers(1, 9), st.integers(1, 9))
+
+
+@given(st.lists(small_slopes, min_size=1, max_size=4))
+def test_mutation_matches_the_oracle_on_slope_products(slopes):
+    l = lotus_of_slopes(slopes)
+    assert_mutations_match_the_oracle(l, sorted(polygon_of_lotus(l)[0].diagonals))
+
+
+def fibonacci_ratio(k: int, inverted: bool) -> Rational:
+    a, b = 1, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return Rational(a, b) if inverted else Rational(b, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 200), st.booleans(), st.lists(st.integers(0, 10**6), min_size=1,
+                                                       max_size=4))
+def test_mutation_matches_the_oracle_on_fibonacci_ratios(k, inverted, picks):
+    # zigzag lotuses whose coordinates grow like the Fibonacci numbers
+    l = lotus_of_slope(fibonacci_ratio(k, inverted))
+    diagonals = sorted(polygon_of_lotus(l)[0].diagonals)
+    assert_mutations_match_the_oracle(l, [diagonals[x % len(diagonals)] for x in picks])
+
+
+def test_mutation_refusals_keep_their_text():
+    l = lotus_of_slopes([Rational(11, 8), Rational(2, 5)])
+    poly, _ = polygon_of_lotus(l)
+    m = poly.m
+    d = min(poly.diagonals)
+    absent = next((i, j) for i in range(1, m) for j in range(i + 2, m + 1)
+                  if (i, j) not in poly.diagonals and (i, j) != (1, m))
+    cases = {(1, m): (1, m), (0, 3): (0, 3), (2, m + 1): (2, m + 1), (m + 1, 2): (2, m + 1),
+             absent: absent, absent[::-1]: absent, (3, 3): (3, 3), (-1, 2): (-1, 2)}
+    for chord, named in cases.items():
+        for f in (mutate_lotus, quad_type, base_side_petals):
+            with pytest.raises(ValueError) as refusal:
+                f(l, chord)
+            assert str(refusal.value) == f"{named} is not a diagonal of the triangulation"
+    # a diagonal is one chord in either order
+    assert mutate_lotus(l, d[::-1]) == mutate_lotus(l, d)
+    # every chord with labels from 0 to m + 1 is mutated or refused as the
+    # oracle does it
+    for chord in product(range(m + 2), repeat=2):
+        assert (outcome(lambda c: mutate_lotus(l, c), chord)
+                == outcome(lambda c: mutate_by_reembedding(l, c), chord))
+    for f in (mutate_lotus, quad_type, base_side_petals):
+        with pytest.raises(ValueError, match="^the segment lotus has no polygon$"):
+            f(Lotus(frozenset()), (1, 3))
 
 
 def test_mutation_rejects_absent_diagonal():
@@ -236,8 +302,6 @@ def test_mutation_rejects_absent_diagonal():
 
 
 def test_alpha_part_is_preserved():
-    from friezelotus.lotus import lotus_of_polygon
-    from friezelotus.polygon import flip_quadrilateral
     for m in range(4, 8):
         for t in enumerate_triangulations(m):
             l = lotus_of_polygon(t, 0)
@@ -253,8 +317,6 @@ def test_alpha_part_is_preserved():
 
 
 def test_type_toggles_under_mutation():
-    from friezelotus.lotus import lotus_of_polygon
-    from friezelotus.polygon import flip_quadrilateral
     for m in range(4, 8):
         for t in enumerate_triangulations(m):
             l = lotus_of_polygon(t, 0)
