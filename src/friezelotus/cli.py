@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Sequence
 
@@ -126,6 +127,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", action="store_true", help="label weights (svg)")
     p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
+    # argparse reads a word that begins with "-" and names no option as a
+    # value only when it looks like a negative number; widen that to every
+    # such word (-x^2+y, -1/2).  Set after the options are added: argparse
+    # tests each option string against the pattern as it is added, and one
+    # that matched would turn the rule off.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile("-[^-]")
     return parser
 
 
@@ -366,4 +374,3 @@ def _cmd_render(args, stdin_text) -> str:
     options = RenderOptions(scale=args.scale, show_grid=args.grid,
                             label_weights=args.weights)
     return render_lotus_svg(_lotus_from_args(args, stdin_text), options)
-

@@ -124,11 +124,24 @@ def triangulation_of_frieze(f: Frieze) -> TriangulatedPolygon:
 def complete_quiddity(prefix: Sequence[int]) -> tuple[int, ...]:
     """Extend w+1 consecutive quiddity values of a width-w frieze by the two
     remaining ones, which are the continuants of the prefix minus its last
-    (respectively first) element."""
+    (respectively first) element.  An unextendable prefix is refused as
+    ``embed_polygon`` refuses the completed quiddity."""
     prefix = tuple(prefix)
     if len(prefix) < 1:
         raise ValueError("prefix must contain at least one entry (width 0)")
     full = prefix + (continuant(prefix[:-1]), continuant(prefix[1:]))
-    polygon_from_quiddity(full)  # reject unextendable prefixes
+    _check_quiddity(full)
     return full
 
+
+def _check_quiddity(q: tuple[int, ...]) -> None:
+    """Accept exactly the frieze quiddities, by the O(m) ear cut (Conway-Coxeter).
+    A refused quiddity whose frieze is under the ceiling is refused with the
+    message of :func:`frieze_rows`, which names the first bad diamond."""
+    try:
+        polygon_from_quiddity(q)
+    except ValueError:
+        if len(q) * (len(q) - 1) // 2 <= MAX_FRIEZE_ENTRIES:
+            for _ in frieze_rows(q):
+                pass
+        raise

@@ -19,9 +19,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
-from .frieze import MAX_FRIEZE_ENTRIES, frieze_rows
-from .polygon import (Diagonal, TriangulatedPolygon, _polygon, polygon_from_quiddity,
-                      quiddity_of)
+from .frieze import _check_quiddity
+from .polygon import Diagonal, TriangulatedPolygon, _polygon, quiddity_of
 
 Point = tuple[int, int]
 
@@ -184,19 +183,12 @@ def embed_polygon(q: Sequence[int], k: int) -> list[Point]:
     equivalently v_l is the pair of frieze entries
     (entry(k, k+l-1), entry(k-1, k+l-1)).
 
-    The quiddity is checked by the ear cut; by Conway-Coxeter it accepts
-    exactly the frieze quiddities.  A rejected one is refused with the
-    frieze's message, which names the first bad diamond, when the frieze
-    is under its ceiling.
+    Exactly the frieze quiddities are accepted, and a refusal names the
+    frieze's first bad diamond, as in ``complete_quiddity``: both call
+    ``frieze._check_quiddity``.
     """
     q = tuple(q)
-    try:
-        polygon_from_quiddity(q)
-    except ValueError:
-        if len(q) * (len(q) - 1) // 2 <= MAX_FRIEZE_ENTRIES:
-            for _ in frieze_rows(q):
-                pass
-        raise
+    _check_quiddity(q)
     return _embed(q, k)
 
 
@@ -231,6 +223,14 @@ def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:
     return _lotus(frozenset([BASE_PETAL, *(_chord_petal(verts, d, k) for d in p.diagonals)]))
 
 
+def _polygon_vertices(l: Lotus) -> tuple[Point, ...]:
+    """Lattice points of the lotus polygon's vertices 1..m: the lateral
+    boundary read from (0,1) to (1,0).  The segment lotus has none."""
+    if l.is_segment:
+        raise ValueError("the segment lotus has no polygon")
+    return lateral_boundary(l)[::-1]
+
+
 def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
     """The abstract triangulated polygon underlying a lotus, together with
     the lattice position of each vertex.
@@ -239,9 +239,7 @@ def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
     lateral boundary.  Re-embedding its quiddity with k = 0 reproduces the
     petal set (vertex 1 back at (0,1)).
     """
-    if l.is_segment:
-        raise ValueError("the segment lotus has no polygon")
-    verts = lateral_boundary(l)[::-1]
+    verts = _polygon_vertices(l)
     index = {pt: t + 1 for t, pt in enumerate(verts)}
     # the base edge of every petal but the root is shared with its parent;
     # the boundary passes u before v, so v has the smaller label

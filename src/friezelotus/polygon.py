@@ -9,13 +9,11 @@ index t holding the count at vertex t+1.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .contfrac import hj_evaluate, kidoh_dual
 
 Diagonal = tuple[int, int]
-
-MAX_ENUM_VERTICES = 16
 
 
 class TriangulatedPolygon(namedtuple("TriangulatedPolygon", "m diagonals")):
@@ -113,22 +111,3 @@ def polygon_of_cf(terms: Sequence[int]) -> TriangulatedPolygon:
     dual = kidoh_dual(value).dual
     quiddity = (1,) + tuple(terms) + (1,) + tuple(reversed(dual))
     return polygon_from_quiddity(quiddity)
-
-
-def enumerate_triangulations(m: int) -> list[TriangulatedPolygon]:
-    """All triangulations of the m-gon (the (m-2)-nd Catalan number many),
-    generated by recursive splitting on the edge [1, m]."""
-    if not 3 <= m <= MAX_ENUM_VERTICES:
-        raise ValueError(f"m must be within 3..{MAX_ENUM_VERTICES}")
-
-    def splits(lo: int, hi: int) -> Iterator[frozenset[Diagonal]]:
-        # triangulations of the polygon lo..hi, with (lo, hi) unless an edge
-        own = {(lo, hi)} if 2 <= hi - lo < m - 1 else set()
-        if hi - lo < 2:
-            yield frozenset()
-        for k in range(lo + 1, hi):
-            for left in splits(lo, k):
-                for right in splits(k, hi):
-                    yield left | right | own
-
-    return [_polygon(m, ds) for ds in splits(1, m)]

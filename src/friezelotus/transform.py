@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lotus import (BASE_PETAL, Lotus, Petal, _chord_petal, _lotus, _petal, lateral_boundary,
+from .lotus import (BASE_PETAL, Lotus, Petal, _chord_petal, _lotus, _petal, _polygon_vertices,
                     polygon_of_lotus)
 from .polygon import Diagonal, TriangulatedPolygon, _polygon, quiddity_of
 
@@ -76,9 +76,7 @@ def _quadrilateral(l: Lotus, d: Diagonal) -> tuple[Petal, Petal]:
     """The petal p on diagonal ``d`` (labels of the lotus polygon) and its
     parent q, whose triangle and p's apex make the quadrilateral of d.  A
     chord is a diagonal when its petal is in the lotus but is not the base."""
-    if l.is_segment:
-        raise ValueError("the segment lotus has no polygon")
-    verts, (i, j) = lateral_boundary(l)[::-1], sorted(d)
+    verts, (i, j) = _polygon_vertices(l), sorted(d)
     p = _chord_petal(verts, (i, j)) if 1 <= i and j <= len(verts) else BASE_PETAL
     if p == BASE_PETAL or p not in l.petals:
         raise ValueError(f"{(i, j)} is not a diagonal of the triangulation")

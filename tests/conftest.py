@@ -69,6 +69,23 @@ def random_triangulation(m: int, rng: random.Random) -> TriangulatedPolygon:
     return TriangulatedPolygon(m, frozenset(diagonals))
 
 
+def enumerate_triangulations(m: int) -> list[TriangulatedPolygon]:
+    """All triangulations of the m-gon (the (m-2)-nd Catalan number many),
+    generated by recursive splitting on the edge [1, m]."""
+
+    def splits(lo: int, hi: int):
+        # triangulations of the polygon lo..hi, with (lo, hi) unless an edge
+        own = {(lo, hi)} if 2 <= hi - lo < m - 1 else set()
+        if hi - lo < 2:
+            yield frozenset()
+        for k in range(lo + 1, hi):
+            for left in splits(lo, k):
+                for right in splits(k, hi):
+                    yield left | right | own
+
+    return [TriangulatedPolygon(m, ds) for ds in splits(1, m)]
+
+
 def make_polygon(m: int, diagonals) -> TriangulatedPolygon:
     return TriangulatedPolygon(m, frozenset(tuple(sorted(d)) for d in diagonals))
 

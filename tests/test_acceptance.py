@@ -13,14 +13,14 @@ from friezelotus.contfrac import Rational, hj_expand
 from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
 from friezelotus.lotus import (Petal, embed_polygon, lotus_of_polygon, lotus_of_slope,
                                pinching_points, polygon_of_lotus)
-from friezelotus.polygon import enumerate_triangulations, quiddity_of
+from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import (PlaneCurve, catalan, count_resolution_graphs,
                                     curve_of_lotus, is_newton_nondegenerate,
                                     lotus_of_poly)
 from friezelotus.transform import mutate_lotus, reduce
 
-from conftest import flip, flip_quadrilateral, random_triangulation
+from conftest import enumerate_triangulations, flip, flip_quadrilateral, random_triangulation
 
 
 def criterion(num: int, label: str):

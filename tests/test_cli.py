@@ -257,6 +257,31 @@ def test_empty_option_values_reach_their_parser(capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_option_values_may_begin_with_a_minus(capsys):
+    # argparse would read these values as options; each reaches its parser
+    code, out = run(["graph", "--poly", "-x^2+y"])
+    assert code == 0 and out == run(["graph", "--poly=-x^2+y"])[1]
+    for argv, message in (
+            (["lotus", "--slopes", "-1/2"], "negative slopes are not supported"),
+            (["hj", "-3/2"], "negative slopes are not supported"),
+            (["frieze", "--quiddity", "-1,2,3"],
+             "quiddity entry -1 at position 0 is not positive"),
+            (["reduce", "--rational", "3/2", "--diagonal", "-1,2"],
+             "(-1, 2) is not a diagonal of the triangulation")):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # every option string is still an option
+    assert run(["embed", "--quiddity", "1,1,1", "-k", "-1"]) == (0, "(0,1) (1,1) (1,0)\n")
+    assert run(["hj", "-h"]) == (0, "")
+    assert capsys.readouterr().out.startswith("usage: friezelotus hj [-h]")
+    for argv, option in ((["graph", "--poly", "--rational", "3/2"], "--poly"),
+                         (["embed", "--quiddity", "1,1,1", "-k"], "-k"),
+                         (["embed", "--quiddity", "-k", "1"], "--quiddity")):
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {option}: expected one argument\n")
+
+
 def test_frieze_of_slopes_is_the_frieze_of_their_lotus_polygon():
     l = lotus_of_slopes([Rational(3, 2), Rational(2, 1)])
     q = quiddity_of(polygon_of_lotus(l)[0])
@@ -484,14 +509,15 @@ _rationals = st.one_of(st.builds("{}/{}".format, st.integers(-3, 40), st.integer
                        _small, st.sampled_from(["", "x", "1/0", "0/0", "3//2", "inf"]),
                        st.builds("{}/1".format, _huge), st.builds("1/{}".format, _huge))
 _quiddities = st.one_of(st.lists(st.integers(0, 5), min_size=1, max_size=9).map(
-    lambda q: ",".join(map(str, q))), st.sampled_from(["", ",", "1,,1", "a,b"]),
+    lambda q: ",".join(map(str, q))), st.sampled_from(["", ",", "1,,1", "a,b", "-1,2,3", "-"]),
     # over the frieze ceiling, which admits 3 162 vertices
     st.integers(3163, 3300).map(lambda m: ",".join(["1"] * m)))
 _polys = st.one_of(
     st.lists(st.builds("x^{}{}y^{}".format, st.integers(0, 9), st.sampled_from("+-"),
                        st.integers(0, 9)), min_size=1, max_size=3).map(
         lambda fs: "*".join(f"({f})" for f in fs)),
-    st.sampled_from(["", "x", "x^3 - ", "(x^2-y)*(x^2-y)", "x*y", "2", "x^2+y^2+x*y"]),
+    st.sampled_from(["", "x", "x^3 - ", "(x^2-y)*(x^2-y)", "x*y", "2", "x^2+y^2+x*y",
+                     "-x^2+y", "-(x^3-y^2)", "-x-y", "-"]),
     st.builds("x^{}-y".format, _huge), st.builds("x^{0}-y^{0}".format, _huge),
     # past the parser's nesting ceiling, closed or not
     st.integers(101, 5000).map(lambda n: "(" * n + "x" + ")" * n),
@@ -543,7 +569,7 @@ def _argvs(draw):
     if command in ("reduce", "mutate"):
         argv += ["--diagonal", draw(st.one_of(
             st.builds("{},{}".format, st.integers(0, 10), st.integers(0, 10)),
-            st.sampled_from(["", "1", "1,2,3", "a,b"])))]
+            st.sampled_from(["", "1", "1,2,3", "a,b", "-1,2", "-2,-1"])))]
     if command == "embed" and draw(st.booleans()):
         argv += ["-k", draw(_small)]
     if command == "render":
@@ -553,7 +579,7 @@ def _argvs(draw):
                 argv.append(flag)
         if draw(st.booleans()):
             argv += ["--scale", draw(st.sampled_from(
-                ["40", "0.5", "0", "-1", "nan", "inf", "1e308", "1e-320", "x"]))]
+                ["40", "0.5", "0", "-1", "-inf", "nan", "inf", "1e308", "1e-320", "x"]))]
     if command in ("frieze", "render") and draw(st.booleans()):
         argv += ["--periods", draw(_small)]
     if command != "render" and draw(st.booleans()):

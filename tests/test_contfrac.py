@@ -24,6 +24,15 @@ def test_rational_rejects_den_zero_and_negative():
         Rational(-1, 2)
 
 
+def test_rational_is_an_immutable_value():
+    x = Rational(22, 16)
+    with pytest.raises(AttributeError, match="^Rational is immutable$"):
+        x.num = 3
+    assert x.__eq__("11/8") is NotImplemented and x != "11/8"
+    assert repr(x) == "Rational(11, 8)"
+    assert str(Rational.infinity()) == "inf"
+
+
 def test_infinity_sentinel():
     assert Rational.infinity().is_infinite
     assert Rational.parse("inf").is_infinite
@@ -111,6 +120,13 @@ def test_kidoh_rejects_q_at_least_n():
         kidoh_dual(Rational(3, 5))
     with pytest.raises(ValueError):
         kidoh_dual(Rational(1, 1))
+
+
+def test_kidoh_rejects_infinity_and_zero():
+    # without its check the infinite slope would index an empty dual
+    for x in (Rational.infinity(), Rational(0)):
+        with pytest.raises(ValueError, match=r"^duality needs a finite positive rational > 1$"):
+            kidoh_dual(x)
 
 
 def test_kidoh_dual_is_an_involution_in_value():

@@ -7,10 +7,10 @@ from friezelotus.contfrac import Rational, continuant, hj_expand
 from friezelotus.frieze import (MAX_FRIEZE_ENTRIES, complete_quiddity,
                                 frieze_from_quiddity, frieze_of_triangulation,
                                 triangulation_of_frieze)
-from friezelotus.polygon import (enumerate_triangulations, polygon_from_quiddity,
-                                 polygon_of_cf, quiddity_of)
+from friezelotus.lotus import embed_polygon
+from friezelotus.polygon import polygon_from_quiddity, polygon_of_cf, quiddity_of
 
-from conftest import coprime_pairs, outcome, quiddities
+from conftest import coprime_pairs, enumerate_triangulations, outcome, quiddities
 
 RUNNING_QUIDDITY = (1, 2, 2, 3, 2, 1, 3, 4)
 
@@ -145,8 +145,22 @@ def test_complete_quiddity_past_the_frieze_ceiling():
 
 
 def test_complete_quiddity_rejects_unextendable_prefix():
-    with pytest.raises(ValueError):
+    # the completion (1, 1, 5, 1, -1, 3) is refused as the frieze refuses it
+    with pytest.raises(ValueError, match="^quiddity entry -1 at position 4 is not positive$"):
         complete_quiddity((1, 1, 5, 1))
+    with pytest.raises(ValueError, match=r"^prefix must contain at least one entry \(width 0\)$"):
+        complete_quiddity(())
+
+
+def test_complete_quiddity_refuses_with_the_embedding_message():
+    # a prefix is extended, or refused with the text that embed_polygon
+    # gives for its completion, which names the frieze's first bad diamond
+    for n in range(1, 6):
+        for prefix in product(range(1, 5), repeat=n):
+            full = prefix + (continuant(prefix[:-1]), continuant(prefix[1:]))
+            embedding = outcome(lambda q: embed_polygon(q, 0), full)
+            expected = embedding if isinstance(embedding, str) else full
+            assert outcome(complete_quiddity, prefix) == expected
 
 
 def diamond_rule_frieze(q):

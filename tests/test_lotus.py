@@ -12,10 +12,10 @@ from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal,
                                lotus_of_slope, lotus_of_slopes,
                                pinching_points, polygon_of_lotus)
 from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
-from friezelotus.polygon import enumerate_triangulations, quiddity_of
+from friezelotus.polygon import quiddity_of
 
-from conftest import (coprime_pairs, outcome, petal_of_triangle, random_triangulation,
-                      triangles_of)
+from conftest import (coprime_pairs, enumerate_triangulations, outcome, petal_of_triangle,
+                      random_triangulation, triangles_of)
 
 
 def petal(u, v):

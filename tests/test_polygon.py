@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from friezelotus.contfrac import Rational
 from friezelotus.lotus import lotus_of_polygon, lotus_of_slopes, polygon_of_lotus
-from friezelotus.polygon import (TriangulatedPolygon, enumerate_triangulations,
-                                 polygon_from_quiddity, polygon_of_cf, quiddity_of)
+from friezelotus.polygon import (TriangulatedPolygon, polygon_from_quiddity, polygon_of_cf,
+                                 quiddity_of)
 from friezelotus.transform import reduce
 
-from conftest import (catalan_by_recurrence, diagonals_cross, flip, make_polygon, outcome,
-                      quiddities, random_triangulation, triangles_of)
+from conftest import (catalan_by_recurrence, diagonals_cross, enumerate_triangulations, flip,
+                      make_polygon, outcome, quiddities, random_triangulation, triangles_of)
 
 
 def test_validation_rejects_bad_polygons():
+    with pytest.raises(ValueError, match="^a polygon needs at least 3 vertices$"):
+        TriangulatedPolygon(2, frozenset())
     with pytest.raises(ValueError):
         make_polygon(5, [(1, 2), (1, 3)])  # (1,2) is an edge
     with pytest.raises(ValueError):
@@ -176,13 +178,6 @@ def test_enumerate_counts_match_catalan():
         assert len({t.diagonals for t in tris}) == len(tris)
 
 
-def test_enumerate_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        enumerate_triangulations(2)
-    with pytest.raises(ValueError):
-        enumerate_triangulations(17)
-
-
 def test_quiddity_sum_and_ears():
     for m in range(3, 11):
         for t in enumerate_triangulations(m):
@@ -291,7 +286,5 @@ def test_unchecked_constructions_give_valid_triangulations(m, rng):
              polygon_of_lotus(lotus_of_slopes(slopes))[0]]
     for d in t.diagonals:
         built += reduce(t, d)[::2]
-    if m <= 9:
-        built += enumerate_triangulations(m)
     for p in built:
         assert TriangulatedPolygon(p.m, p.diagonals) == p

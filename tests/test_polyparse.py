@@ -147,6 +147,18 @@ def test_restrict_to_edge_rejects_non_edges():
         restrict_to_edge(f, ((3, 0), (2, 2)))
 
 
+def test_restrict_to_edge_refuses_the_zero_polynomial():
+    with pytest.raises(ValueError, match="^the zero polynomial has no Newton polyhedron$"):
+        restrict_to_edge(parse_poly("0"), ((1, 0), (0, 1)))
+
+
+def test_poly2_refuses_zero_coefficients_and_negative_exponents():
+    with pytest.raises(ValueError, match="^zero coefficients must not be stored$"):
+        Poly2({(1, 0): 1, (0, 1): 0})
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        Poly2({(1, -1): 1})
+
+
 def test_poly_arithmetic():
     x = Poly2({(1, 0): 1})
     y = Poly2({(0, 1): 1})

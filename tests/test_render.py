@@ -5,10 +5,11 @@ import pytest
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
 from friezelotus.lotus import BASE_PETAL, Lotus, lotus_of_slope
-from friezelotus.polygon import enumerate_triangulations
 from friezelotus.render import (RenderOptions, render_frieze_text,
                                 render_graph_dot, render_lotus_svg)
 from friezelotus.resolution import ResolutionGraph, graph_of_lotus
+
+from conftest import enumerate_triangulations
 
 
 def test_options_validate():

@@ -13,7 +13,7 @@ from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, lateral_boundary,
                                lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
                                pinching_points, polygon_of_lotus)
 from friezelotus.frieze import frieze_of_triangulation
-from friezelotus.polygon import enumerate_triangulations, quiddity_of
+from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import compact_edges, parse_poly
 from friezelotus.resolution import (PlaneCurve, ResolutionGraph, _squarefree, catalan,
                                     count_resolution_graphs, curve_of_lotus,
@@ -21,7 +21,8 @@ from friezelotus.resolution import (PlaneCurve, ResolutionGraph, _squarefree, ca
                                     lotus_of_poly, newton_fan,
                                     partial_resolutions)
 
-from conftest import catalan_by_recurrence, coprime_pairs, incidence_counts
+from conftest import (catalan_by_recurrence, coprime_pairs, enumerate_triangulations,
+                      incidence_counts)
 
 
 def random_products(count: int, most: int, seed: int) -> list[Lotus]:
@@ -84,15 +85,20 @@ def test_curve_of_the_segment_is_the_empty_product():
     segment = Lotus(frozenset())
     assert curve_of_lotus(segment) == PlaneCurve(())
     assert lotus_of_poly(PlaneCurve(()).polynomial()) == segment
+    with pytest.raises(ValueError, match="^the zero polynomial has no lotus$"):
+        lotus_of_poly(parse_poly("0"))
     assert lotus_of_poly(parse_poly("x - y")) == Lotus(frozenset({BASE_PETAL}),
                                                        frozenset({(1, 1)}))
 
 
 def test_plane_curve_validation_and_str():
-    with pytest.raises(ValueError):
-        PlaneCurve(((2, 4),))  # not coprime
-    with pytest.raises(ValueError):
-        PlaneCurve(((2, 1), (4, 2)))  # same slope twice
+    with pytest.raises(ValueError) as refusal:
+        PlaneCurve(((2, 4),))
+    assert str(refusal.value) == "factor exponents must be coprime positives, got (2, 4)"
+    with pytest.raises(ValueError, match="^factor exponents must be coprime"):
+        PlaneCurve(((2, 1), (4, 2)))  # the same slope, but not coprime
+    with pytest.raises(ValueError, match="^factor slopes must be pairwise distinct$"):
+        PlaneCurve(((2, 1), (1, 2), (2, 1)))
     assert str(PlaneCurve(((3, 2),))) == "x^3 - y^2"
     assert str(PlaneCurve(((2, 1), (1, 2)))) == "(x^2 - y)(x - y^2)"
 

@@ -9,16 +9,16 @@ from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
 from friezelotus.lotus import (Lotus, Petal, lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
                                polygon_of_lotus)
-from friezelotus.polygon import enumerate_triangulations, quiddity_of
+from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import (curve_of_lotus, graph_of_lotus, lotus_of_poly,
                                     partial_resolutions)
 from friezelotus.transform import (base_side_petals, mutate_lotus, quad_type,
                                    reduce, reduction_chain)
 
-from conftest import (coprime_pairs, flip_quadrilateral, make_polygon, mutate_by_reembedding,
-                      outcome, petal_of_triangle, random_triangulation, subpolygon,
-                      triangles_of)
+from conftest import (coprime_pairs, enumerate_triangulations, flip_quadrilateral, make_polygon,
+                      mutate_by_reembedding, outcome, petal_of_triangle, random_triangulation,
+                      subpolygon, triangles_of)
 
 
 def test_reduce_square_leaves_triangle():
@@ -289,9 +289,14 @@ def test_mutation_refusals_keep_their_text():
     for chord in product(range(m + 2), repeat=2):
         assert (outcome(lambda c: mutate_lotus(l, c), chord)
                 == outcome(lambda c: mutate_by_reembedding(l, c), chord))
-    for f in (mutate_lotus, quad_type, base_side_petals):
+
+
+def test_the_segment_lotus_is_refused_with_one_text():
+    calls = [polygon_of_lotus, *(lambda l, f=f: f(l, (1, 3))
+                                 for f in (mutate_lotus, quad_type, base_side_petals))]
+    for call in calls:
         with pytest.raises(ValueError, match="^the segment lotus has no polygon$"):
-            f(Lotus(frozenset()), (1, 3))
+            call(Lotus(frozenset()))
 
 
 def test_mutation_rejects_absent_diagonal():
