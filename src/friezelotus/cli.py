@@ -31,8 +31,8 @@ from .polygon import polygon_from_quiddity, quiddity_of
 from .polyparse import parse_poly
 from .render import RenderOptions, render_frieze_text, render_graph_dot, render_lotus_svg
 from .resolution import (ResolutionGraph, count_resolution_graphs,
-                         curve_of_lotus, graph_of_lotus, lotus_of_nondegenerate_poly,
-                         partial_resolutions)
+                         curve_of_lotus, graph_of_lotus, is_newton_nondegenerate,
+                         lotus_of_poly, partial_resolutions)
 from .transform import mutate_lotus, reduce as reduce_polygon
 
 
@@ -176,7 +176,7 @@ def _parse_diagonal(text: str) -> tuple[int, int]:
         i, j = (int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad diagonal {text!r}: expected i,j") from exc
-    return (min(i, j), max(i, j))
+    return i, j
 
 
 def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
@@ -188,11 +188,11 @@ def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
     if args.rational is not None:
         return lotus_of_slope(Rational.parse(args.rational))
     if args.poly is not None:
-        l = lotus_of_nondegenerate_poly(parse_poly(args.poly))
-        if l is None:
+        f = parse_poly(args.poly)
+        if not is_newton_nondegenerate(f):
             raise ValueError(f"{args.poly!r} is degenerate: a compact-edge restriction "
                              "is not square-free away from the axes")
-        return l
+        return lotus_of_poly(f)
     return lotus_of_polygon(polygon_from_quiddity(_parse_quiddity(args.quiddity)), 0)
 
 

@@ -146,15 +146,11 @@ def hj_evaluate(terms: Sequence[int]) -> Rational:
     P_r(b1..br) / P_{r-1}(b2..br).  Numerator and denominator of that
     quotient are automatically coprime, and positive once the terms are
     checked: continuants of terms >= 2 grow with each term."""
-    _check_expansion(terms)
-    return Rational(continuant(terms), continuant(terms[1:]))
-
-
-def _check_expansion(terms: Sequence[int]) -> None:
     if len(terms) == 0:
         raise ValueError("expansion must be nonempty")
     if terms[0] < 1 or any(b < 2 for b in terms[1:]):
         raise ValueError(f"not a valid expansion: {list(terms)}")
+    return Rational(continuant(terms), continuant(terms[1:]))
 
 
 class KidohDual(namedtuple("KidohDual", "c d dual")):

@@ -100,14 +100,12 @@ def polygon_from_quiddity(q: Sequence[int]) -> TriangulatedPolygon:
 
 
 def polygon_of_cf(terms: Sequence[int]) -> TriangulatedPolygon:
-    """Two-eared triangulation attached to an expansion of a value > 1.
+    """Two-eared triangulation attached to an expansion of a value > 1
+    (``kidoh_dual`` refuses any other).
 
     Vertex 1 is an ear and the quiddity read from it is
     (1, b_1, ..., b_r, 1, b'_s, ..., b'_1) with (b') the dual expansion.
     """
-    value = hj_evaluate(terms)
-    if value.num <= value.den:
-        raise ValueError(f"expansion value must exceed 1, got {value}")
-    dual = kidoh_dual(value).dual
+    dual = kidoh_dual(hj_evaluate(terms)).dual
     quiddity = (1,) + tuple(terms) + (1,) + tuple(reversed(dual))
     return polygon_from_quiddity(quiddity)

@@ -14,6 +14,7 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
+import sys
 from math import gcd
 
 Term = tuple[int, int]
@@ -128,7 +129,7 @@ class _Parser:
             if ch == "*":
                 self.pos += 1
                 product = product * self.factor()
-            elif ch and (ch.isdigit() or ch in "xy("):
+            elif ch and (ch.isdecimal() or ch in "xy("):
                 product = product * self.factor()
             else:
                 return product
@@ -146,7 +147,7 @@ class _Parser:
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
             return inner
-        if ch.isdigit():
+        if ch.isdecimal():
             value = self._int()
             return Poly2({(0, 0): value} if value else {})
         if ch and ch in "xy":
@@ -161,10 +162,14 @@ class _Parser:
     def _int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise ParseError("expected an integer", self.pos)
+        # refuse here what int() would refuse with no position
+        limit = sys.get_int_max_str_digits()
+        if limit and self.pos - start > limit:
+            raise ParseError(f"integer longer than {limit} digits", start)
         return int(self.src[start:self.pos])
 
 

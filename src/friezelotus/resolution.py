@@ -44,12 +44,11 @@ class PlaneCurve(namedtuple("PlaneCurve", "factors")):
     __slots__ = ()
 
     def __new__(cls, factors: tuple[tuple[int, int], ...]):
-        slopes = set()
         for d, c in factors:
             if d < 1 or c < 1 or gcd(d, c) != 1:
                 raise ValueError(f"factor exponents must be coprime positives, got {(d, c)}")
-            slopes.add(Rational(d, c))
-        if len(slopes) != len(factors):
+        # coprime pairs are reduced slopes, so distinct slopes are distinct pairs
+        if len(set(factors)) != len(factors):
             raise ValueError("factor slopes must be pairwise distinct")
         return super().__new__(cls, factors)
 
@@ -94,11 +93,7 @@ def newton_fan(support: set[Term]) -> set[Rational]:
     An edge from (x0, y0) to (x1, y1) with x1 > x0 is orthogonal to the
     primitive vector (y0 - y1, x1 - x0), of slope (x1 - x0)/(y0 - y1).
     """
-    return _fan(compact_edges(support))
-
-
-def _fan(edges: list[tuple[Term, Term]]) -> set[Rational]:
-    return {Rational(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in edges}
+    return {Rational(x1 - x0, y0 - y1) for (x0, y0), (x1, y1) in compact_edges(support)}
 
 
 def lotus_of_poly(f: Poly2) -> Lotus:
@@ -110,19 +105,9 @@ def lotus_of_poly(f: Poly2) -> Lotus:
 
 def is_newton_nondegenerate(f: Poly2) -> bool:
     """True iff every compact-edge restriction is square-free with nonzero
-    constant term (so it cuts out a smooth curve off the axes).  Edges of
-    total lattice length over MAX_VERTICES are refused first."""
-    return _nondegenerate_edges(f) is not None
-
-
-def lotus_of_nondegenerate_poly(f: Poly2) -> Lotus | None:
-    """``lotus_of_poly(f)`` if ``is_newton_nondegenerate(f)``, else None."""
-    edges = _nondegenerate_edges(f)
-    return None if edges is None else lotus_of_slopes(_fan(edges))
-
-
-def _nondegenerate_edges(f: Poly2) -> list[tuple[Term, Term]] | None:
-    """The compact Newton edges of ``f`` if it is nondegenerate, else None."""
+    constant term (so it cuts out a smooth curve off the axes).  The zero
+    polynomial, then edges of total lattice length over MAX_VERTICES, are
+    refused first."""
     if f.is_zero:
         raise ValueError("the zero polynomial is excluded")
     edges = compact_edges(f.support())
@@ -133,8 +118,8 @@ def _nondegenerate_edges(f: Poly2) -> list[tuple[Term, Term]] | None:
     for edge in edges:
         g = _edge_coefficients(f, edge)
         if g[0] == 0 or not _squarefree(g):
-            return None
-    return edges
+            return False
+    return True
 
 
 def _squarefree(coeffs: Sequence[int]) -> bool:

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from friezelotus.cli import frieze_to_json, run
+from friezelotus.cli import frieze_to_json, lotus_to_json, run
 from friezelotus.contfrac import MAX_VERTICES, Rational, hj_expand
 from friezelotus.frieze import MAX_FRIEZE_ENTRIES, frieze_from_quiddity, frieze_of_triangulation
 from friezelotus.lotus import lotus_of_slopes, polygon_of_lotus
@@ -70,6 +70,8 @@ def test_count_too_large_to_print(capsys):
     (["graph", "--poly", "0"], "error: the zero polynomial is excluded\n"),
     (["partials", "--slopes", "0/1"], "error: the segment lotus has no resolutions\n"),
     (["graph", "--poly", "x)"], "error: unexpected ')' at position 1\n"),
+    (["graph", "--poly", "9" * (sys.get_int_max_str_digits() + 1) + "x-y"],
+     f"error: integer longer than {sys.get_int_max_str_digits()} digits at position 0\n"),
 ])
 def test_refusals_name_their_cause(argv, err, capsys):
     assert run(argv) == (1, "")
@@ -345,23 +347,38 @@ def test_newton_edge_ceiling_rejects_before_restricting(capsys):
         f"over the limit of {MAX_VERTICES}\n")
 
 
-def test_poly_input_builds_its_newton_hull_once(capsys, monkeypatch):
-    import friezelotus.polyparse as polyparse_module
-    import friezelotus.resolution as resolution_module
-    calls = []
-
-    def counted(support):
-        calls.append(support)
-        return polyparse_module.compact_edges(support)
-
-    monkeypatch.setattr(resolution_module, "compact_edges", counted)
+def test_poly_input_takes_the_public_newton_route(capsys):
+    # --poly refuses what is_newton_nondegenerate refuses, with its message
+    # or as degenerate, and otherwise acts on lotus_of_poly's lotus
+    from friezelotus.polyparse import parse_poly
+    from friezelotus.resolution import is_newton_nondegenerate, lotus_of_poly
+    degenerate = "is degenerate: a compact-edge restriction is not square-free away from the axes"
     for argv in (["lotus", "--poly", "(x^2+y)*(x+y^2)"], ["graph", "--poly", "x^3-y^2"],
                  ["frieze", "--poly", "(x^5-y^2)*(x^3-y)*(x-y)"], ["partials", "--poly", "x^2"],
                  ["graph", "--poly", "(x^2+y)*(x^2+y)"], ["graph", "--poly", "x^1000001-y^1000001"]):
-        calls.clear()
-        run(argv)
-        assert len(calls) == 1, argv
-    capsys.readouterr()
+        f = parse_poly(argv[2])
+        try:
+            accepted = is_newton_nondegenerate(f)
+        except ValueError as exc:
+            assert run(argv) == (1, "")
+            assert capsys.readouterr().err == f"error: {exc}\n"
+            continue
+        result, err = run(argv), capsys.readouterr().err
+        if accepted:
+            doc = json.dumps(lotus_to_json(lotus_of_poly(f)))
+            assert result == run([argv[0], "--stdin"], doc), argv
+            assert err == capsys.readouterr().err
+        else:
+            assert result == (1, "")
+            assert err == f"error: {argv[2]!r} {degenerate}\n"
+    # each refusal comes before the next: zero, the edge ceiling, degenerate
+    long_square = "(x^1000001-y^1000001)*(x^1000001-y^1000001)"
+    for poly, err in (("x-x", "the zero polynomial is excluded"),
+                      (long_square, "the compact Newton edges have lattice length 2000002, "
+                                    f"over the limit of {MAX_VERTICES}"),
+                      ("x^2-2xy+y^2", f"'x^2-2xy+y^2' {degenerate}")):
+        assert run(["graph", "--poly", poly]) == (1, "")
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_input_usage_is_the_recorded_layout(monkeypatch):

@@ -117,8 +117,10 @@ def test_polygon_of_cf_3_2_from_enumeration():
 
 
 def test_polygon_of_cf_rejects_values_at_most_one():
-    with pytest.raises(ValueError):
-        polygon_of_cf((1, 3))  # value 2/3
+    for terms, value in (((1, 3), "2/3"), ((1,), "1/1")):
+        with pytest.raises(ValueError) as err:
+            polygon_of_cf(terms)
+        assert str(err.value) == f"duality needs n > q, got {value}"
 
 
 def test_flip_pentagon():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +47,25 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_poly("x + z")
     assert err.value.pos == 4
+    # "²" is a digit to str.isdigit but no integer to int()
+    for text, pos in (("x²", 1), ("x^²", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert err.value.pos == pos
+
+
+def test_integers_past_the_digit_limit_are_parse_errors():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert parse_poly("9" * 4300 + "x") == Poly2({(1, 0): int("9" * 4300)})
+        for text, pos in (("9" * 4301 + "x - y", 0), ("x^" + "9" * 4301 + " - y", 2),
+                          ("x - y^" + "1" * 5000, 6)):
+            with pytest.raises(ParseError) as err:
+                parse_poly(text)
+            assert str(err.value) == f"integer longer than 4300 digits at position {pos}"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_nesting_ceiling():
