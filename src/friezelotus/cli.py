@@ -23,7 +23,7 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .contfrac import Rational, hj_expand, kidoh_dual
+from .contfrac import Rational, _refuse_long_integer, hj_expand, kidoh_dual
 from .frieze import Frieze, frieze_from_quiddity
 from .lotus import (Lotus, Petal, embed_polygon, lotus_of_polygon,
                     lotus_of_slope, lotus_of_slopes, polygon_of_lotus)
@@ -168,6 +168,7 @@ def _parse_quiddity(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
+        _refuse_long_integer(text)
         raise ValueError(f"bad quiddity {text!r}: comma-separated integers expected") from exc
 
 
@@ -175,6 +176,7 @@ def _parse_diagonal(text: str) -> tuple[int, int]:
     try:
         i, j = (int(part) for part in text.split(","))
     except ValueError as exc:
+        _refuse_long_integer(text)
         raise ValueError(f"bad diagonal {text!r}: expected i,j") from exc
     return i, j
 
@@ -184,7 +186,11 @@ def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
     if args.stdin:
         return lotus_from_json(stdin_text if stdin_text is not None else sys.stdin.read())
     if args.slopes is not None:
-        return lotus_of_slopes(Rational.parse(s) for s in args.slopes.split(","))
+        try:
+            return lotus_of_slopes(Rational.parse(s) for s in args.slopes.split(","))
+        except ValueError:
+            _refuse_long_integer(args.slopes)  # its position in the whole list
+            raise
     if args.rational is not None:
         return lotus_of_slope(Rational.parse(args.rational))
     if args.poly is not None:

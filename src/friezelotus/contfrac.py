@@ -12,6 +12,7 @@ which also build every frieze entry elsewhere in this package.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from math import gcd
@@ -86,8 +87,21 @@ class Rational:
         try:
             num, den = int(num), int(den) if sep else 1
         except ValueError as exc:
+            _refuse_long_integer(text)
             raise ValueError(f"not a rational: {text!r}") from exc
         return cls(num, den)
+
+
+def _refuse_long_integer(text: str) -> None:
+    """Refuse a run of decimal digits in ``text`` longer than the limit the
+    interpreter puts on int(), naming its first digit's position, as the
+    polynomial parser does; int()'s own message is no diagnostic."""
+    limit = sys.get_int_max_str_digits()
+    run = 0
+    for pos, ch in enumerate(text):
+        run = run + 1 if ch.isdecimal() else 0
+        if run > limit > 0:
+            raise ValueError(f"integer longer than {limit} digits at position {pos - limit}")
 
 
 def continuant(values: Sequence[int]) -> int:

@@ -8,7 +8,7 @@ quiddity row, and rows m-1 / m close the array with 1s and 0s again (m is the
 period, the width is w = m - 3).  A quiddity tuple ``q`` feeds positions
 0..m-1, i.e. value(i-1, i+1) = q[i % m].
 
-Two reductions resolve every index pair into the stored triangular
+Two reductions resolve every index pair into the triangular
 fundamental domain {(i, j) : 0 <= i < j <= m-1}: both indices are periodic
 with period m, and value(i, j) = value(j, i + m) (the glide reflection).
 Together these say a value depends only on the unordered pair of residues
@@ -20,33 +20,41 @@ precisely the interior pairs carrying the value 1.
 
 Construction
 ============
-By Conway and Coxeter, value(i, j) is the continuant P_{j-i-1}(q[i+1], ...,
-q[j-1]), so each row follows from the two before it with no division.  The
-diamond rule (value(i,j-1) value(i+1,j) - 1) / value(i+1,j-1) gives the same
-numbers, since continuants satisfy its unimodular form identically and its
-denominator is an earlier entry already checked positive; so a divisibility
-test could never fail, and none is made.
+A frieze is stored as its quiddity and the m vertices v_0, ..., v_{m-1} of
+its polygon embedded from (0,1) to (1,0) by the three-term recurrence
+v_{l+1} = q[l] v_l - v_{l-1} (:func:`_embed`, which ``lotus.embed_polygon``
+runs too).  By Conway and Coxeter, value(i, j) is the continuant
+P_{j-i-1}(q[i+1], ..., q[j-1]), and so is the determinant det(v_j, v_i):
+both are 0 at j = i and 1 at j = i+1, and both run the same recurrence in
+j.  An entry is therefore one 2x2 determinant, made when it is read.
+
+The quiddities with a positive frieze are exactly those of triangulated
+polygons, so validity comes from the O(m) ear cut.  Only a refused quiddity
+is scanned row by row (:func:`frieze_rows`, two rows kept), so that the
+refusal names the first bad diamond.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
-from itertools import chain
+from collections.abc import Iterator, Mapping, Sequence
 
 from .contfrac import continuant
 from .polygon import TriangulatedPolygon, polygon_from_quiddity, quiddity_of
 
-# Ceiling on a frieze's m(m-1)/2 stored entries, checked before any row is
-# built; it admits polygons of up to 3 162 vertices.
+Point = tuple[int, int]
+
+# Ceiling on a frieze's m(m-1)/2 entries, which bounds what can be asked of
+# it as output; it admits polygons of up to 3 162 vertices.
 MAX_FRIEZE_ENTRIES = 5_000_000
 
 
 class Frieze(namedtuple("Frieze", "m quiddity entries")):
-    """Width m-3 frieze stored as its fundamental domain.
+    """Width m-3 frieze; ``entries`` maps each pair of its fundamental domain
+    to its value.
 
-    Construct through :func:`frieze_from_quiddity`, which validates every
-    row eagerly; a ``Frieze`` value is always globally consistent.
+    Construct through :func:`frieze_from_quiddity`, which validates the
+    quiddity; a ``Frieze`` value is always globally consistent.
     """
 
     __slots__ = ()
@@ -66,21 +74,61 @@ class Frieze(namedtuple("Frieze", "m quiddity entries")):
         return self.entries[(ri, rj) if ri < rj else (rj, ri)]
 
 
+class _Determinants(Mapping):
+    """The fundamental domain {(i, j) : 0 <= i < j < m} of a frieze, read off
+    its embedded vertices v as value(i, j) = det(v_j, v_i).  Pairs come row
+    by row: all pairs (i, i+1), then all pairs (i, i+2), and so on."""
+
+    __slots__ = ("_verts",)
+
+    def __init__(self, verts: list[Point]):
+        self._verts = verts
+
+    def __getitem__(self, key) -> int:
+        try:
+            i, j = key
+            if 0 <= i < j:
+                (a, b), (c, d) = self._verts[j], self._verts[i]
+                return a * d - b * c
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        m = len(self._verts)
+        return m * (m - 1) // 2
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        m = len(self._verts)
+        return ((i, i + d) for d in range(1, m) for i in range(m - d))
+
+
 def frieze_from_quiddity(q: Sequence[int]) -> Frieze:
-    """Build the frieze whose quiddity row is ``q`` from :func:`frieze_rows`."""
+    """The frieze whose quiddity row is ``q``, refused as :func:`frieze_rows`
+    refuses it: the length, positivity and size checks first, then the ear
+    cut, whose refusal names the first bad diamond."""
     q = tuple(q)
-    return Frieze(len(q), q, dict(chain.from_iterable(frieze_rows(q))))
+    _check_shape(q)
+    _check_quiddity(q)
+    return Frieze(len(q), q, _Determinants(_embed(q, 0)))
 
 
-def frieze_rows(q: tuple[int, ...]) -> Iterator[Iterator[tuple[tuple[int, int], int]]]:
-    """Validate the frieze of ``q`` row by row, holding only two rows, and
-    yield the ((i, i+d), value) entries of each row d = 1..m-1 in turn.
+def _embed(q: tuple[int, ...], k: int) -> list[Point]:
+    """Vertices of the polygon of the valid quiddity ``q`` embedded from
+    v1 = (0,1), v2 = (1, q[k]) by v_{l+1} = mu * v_l - v_{l-1}, with mu the
+    quiddity at v_l (see ``lotus.embed_polygon``)."""
+    m = len(q)
+    verts: list[Point] = [(0, 1), (1, q[k % m])]
+    for step in range(1, m - 1):
+        mu = q[(k + step) % m]
+        vl, vp = verts[-1], verts[-2]
+        verts.append((mu * vl[0] - vp[0], mu * vl[1] - vp[1]))
+    assert verts[-1] == (1, 0), "embedding must close at (1,0)"
+    return verts
 
-    Row d comes from the two rows before it by the continuant recurrence
-    value(i, i+d) = q[i+d-1] * value(i, i+d-1) - value(i, i+d-2), which needs
-    no divisibility test (see the module docstring).  The input is rejected,
-    naming the first offending pair in row-major order, if an entry of rows
-    2..m-2 is not positive or the closing row m-1 is not all 1s."""
+
+def _check_shape(q: tuple[int, ...]) -> None:
+    """The refusals made before any row: length, positivity, size."""
     m = len(q)
     if m < 3:
         raise ValueError("quiddity needs length >= 3")
@@ -91,15 +139,26 @@ def frieze_rows(q: tuple[int, ...]) -> Iterator[Iterator[tuple[tuple[int, int], 
     if size > MAX_FRIEZE_ENTRIES:
         raise ValueError(f"the frieze of a {m}-gon has {size} entries, "
                          f"over the limit of {MAX_FRIEZE_ENTRIES}")
-    labels = list(range(m))  # one int object per index, shared by all keys
+
+
+def frieze_rows(q: tuple[int, ...]) -> None:
+    """Refuse ``q`` unless it is a frieze quiddity, naming the first
+    offending pair in row-major order, by building the frieze row by row
+    and holding only two rows.
+
+    Row d comes from the two rows before it by the continuant recurrence
+    value(i, i+d) = q[i+d-1] * value(i, i+d-1) - value(i, i+d-2), which needs
+    no divisibility test: the diamond rule gives the same numbers.  The
+    input is refused if an entry of rows 2..m-2 is not positive or the
+    closing row m-1 is not all 1s."""
+    _check_shape(q)
+    m = len(q)
     prev2, prev = [0] * m, [1] * m
-    yield zip(zip(labels, labels[1:]), prev)
     for d in range(2, m):
         row = [a * p - pp for a, p, pp in zip(q[d - 1:] + q[:d - 1], prev, prev2)]
         if d <= m - 2 and min(row) < 1:
             i = next(i for i, val in enumerate(row) if val < 1)
             raise ValueError(_bad_diamond(i, i + d, f"the non-positive entry {row[i]}"))
-        yield zip(zip(labels, labels[d:]), row)
         prev2, prev = prev, row
     for i, val in enumerate(prev):
         if val != 1:
@@ -142,6 +201,5 @@ def _check_quiddity(q: tuple[int, ...]) -> None:
         polygon_from_quiddity(q)
     except ValueError:
         if len(q) * (len(q) - 1) // 2 <= MAX_FRIEZE_ENTRIES:
-            for _ in frieze_rows(q):
-                pass
+            frieze_rows(q)
         raise

@@ -19,10 +19,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
-from .frieze import _check_quiddity
+from .frieze import Point, _check_quiddity, _embed
 from .polygon import Diagonal, TriangulatedPolygon, _polygon, quiddity_of
-
-Point = tuple[int, int]
 
 E1: Point = (1, 0)
 E2: Point = (0, 1)
@@ -190,18 +188,6 @@ def embed_polygon(q: Sequence[int], k: int) -> list[Point]:
     q = tuple(q)
     _check_quiddity(q)
     return _embed(q, k)
-
-
-def _embed(q: tuple[int, ...], k: int) -> list[Point]:
-    """The recurrence of embed_polygon, for a quiddity known to be valid."""
-    m = len(q)
-    verts: list[Point] = [(0, 1), (1, q[k % m])]
-    for step in range(1, m - 1):
-        mu = q[(k + step) % m]
-        vl, vp = verts[-1], verts[-2]
-        verts.append((mu * vl[0] - vp[0], mu * vl[1] - vp[1]))
-    assert verts[-1] == E1, "embedding must close at (1,0)"
-    return verts
 
 
 def _chord_petal(verts: Sequence[Point], chord: Diagonal, k: int = 0) -> Petal:

@@ -42,6 +42,21 @@ def tridiagonal_determinant(diag: list[int]) -> int:
     return det.numerator
 
 
+def frieze_by_rows(q) -> dict:
+    """The fundamental domain of the frieze of a valid quiddity ``q`` as a
+    dict, built row by row by the continuant recurrence
+    value(i, i+d) = q[i+d-1] * value(i, i+d-1) - value(i, i+d-2): the pairs
+    (i, i+1) first, then (i, i+2), and so on."""
+    m = len(q)
+    prev2, prev = [0] * m, [1] * m
+    out = {(i, i + 1): 1 for i in range(m - 1)}
+    for d in range(2, m):
+        row = [q[(i + d - 1) % m] * prev[i] - prev2[i] for i in range(m)]
+        out.update(((i, i + d), row[i]) for i in range(m - d))
+        prev2, prev = prev, row
+    return out
+
+
 def catalan_by_recurrence(n: int) -> int:
     """C_0 = 1, C_{k+1} = sum_i C_i * C_{k-i}."""
     cats = [1]

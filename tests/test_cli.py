@@ -8,12 +8,15 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from friezelotus.cli import frieze_to_json, lotus_to_json, run
+from friezelotus.cli import _dump, frieze_to_json, lotus_to_json, run
 from friezelotus.contfrac import MAX_VERTICES, Rational, hj_expand
-from friezelotus.frieze import MAX_FRIEZE_ENTRIES, frieze_from_quiddity, frieze_of_triangulation
-from friezelotus.lotus import lotus_of_slopes, polygon_of_lotus
+from friezelotus.frieze import (MAX_FRIEZE_ENTRIES, Frieze, frieze_from_quiddity,
+                                frieze_of_triangulation)
+from friezelotus.lotus import lotus_of_slope, lotus_of_slopes, polygon_of_lotus
 from friezelotus.polygon import polygon_of_cf, quiddity_of
-from friezelotus.render import MAX_GRID_LINES
+from friezelotus.render import MAX_GRID_LINES, render_frieze_text
+
+from conftest import frieze_by_rows
 
 
 def test_hj_running():
@@ -78,6 +81,27 @@ def test_refusals_name_their_cause(argv, err, capsys):
     assert capsys.readouterr().err == err
 
 
+LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["hj", LONG], 0),
+    (["hj", f"1/{LONG}"], 2),
+    (["lotus", "--rational", f" {LONG}/2"], 1),
+    (["lotus", "--slopes", f"3/2,{LONG}"], 4),
+    (["frieze", "--quiddity", f"1,{LONG},1"], 2),
+    (["embed", "--quiddity", f"{LONG},1,1"], 0),
+    (["reduce", "--rational", "11/8", "--diagonal", f"1,{LONG}"], 2),
+    (["mutate", "--rational", "11/8", "--diagonal", f"x,{LONG}"], 2),
+])
+def test_numbers_past_the_digit_limit_are_refused_by_position(argv, position, capsys):
+    # the interpreter's refusal would echo the whole argument as malformed
+    limit = sys.get_int_max_str_digits()
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: integer longer than {limit} digits at position {position}\n")
+
+
 def test_partials_running():
     code, out = run(["partials", "--poly", "x^11-y^8"])
     assert out.splitlines() == ["-4 -3 -1 -2 -3 -2", "-4 -2 -1 -3 -2",
@@ -113,6 +137,15 @@ def test_frieze_text_and_json():
     assert doc["m"] == 8
     assert doc["entries"]["0,5"] == 11
     assert doc["entries"]["1,5"] == 8
+
+
+def test_frieze_output_is_the_rendered_row_frieze():
+    # m = 1 003: text and JSON are the bytes of the row-by-row dict rendered
+    q = quiddity_of(polygon_of_lotus(lotus_of_slope(Rational(1001, 1000)))[0])
+    q = q[-1:] + q[:-1]  # a slope's frieze starts at (1,0)
+    oracle = Frieze(len(q), q, frieze_by_rows(q))
+    assert run(["frieze", "--rational", "1001/1000"]) == (0, render_frieze_text(oracle))
+    assert run(["frieze", "--rational", "1001/1000", "--json"]) == (0, _dump(frieze_to_json(oracle)))
 
 
 def test_lotus_plain_and_json():

@@ -1,16 +1,19 @@
+import dataclasses
+from collections.abc import Mapping
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from friezelotus.contfrac import Rational, continuant, hj_expand
 from friezelotus.frieze import (MAX_FRIEZE_ENTRIES, complete_quiddity,
                                 frieze_from_quiddity, frieze_of_triangulation,
-                                triangulation_of_frieze)
-from friezelotus.lotus import embed_polygon
+                                frieze_rows, triangulation_of_frieze)
+from friezelotus.lotus import embed_polygon, lotus_of_slope, polygon_of_lotus
 from friezelotus.polygon import polygon_from_quiddity, polygon_of_cf, quiddity_of
 
-from conftest import coprime_pairs, enumerate_triangulations, outcome, quiddities
+from conftest import (coprime_pairs, enumerate_triangulations, frieze_by_rows, outcome,
+                      quiddities, random_triangulation)
 
 RUNNING_QUIDDITY = (1, 2, 2, 3, 2, 1, 3, 4)
 
@@ -225,3 +228,79 @@ def test_frieze_and_ear_cut_accept_the_same_quiddities_exhaustive():
 def test_frieze_and_ear_cut_accept_the_same_quiddities(q):
     if min(q) >= 1:
         assert accepts(frieze_from_quiddity, q) == accepts(polygon_from_quiddity, q)
+
+
+def assert_store_is_the_row_frieze(q):
+    f = frieze_from_quiddity(q)
+    want = frieze_by_rows(q)
+    assert f.entries == want
+    assert list(f.entries.items()) == list(want.items())  # same row order
+
+
+def test_store_is_the_row_frieze_on_every_small_triangulation():
+    for m in range(3, 11):
+        for t in enumerate_triangulations(m):
+            assert_store_is_the_row_frieze(quiddity_of(t))
+
+
+@given(st.integers(3, 60), st.randoms(use_true_random=False))
+def test_store_is_the_row_frieze_on_random_triangulations(m, rng):
+    assert_store_is_the_row_frieze(quiddity_of(random_triangulation(m, rng)))
+
+
+def test_store_is_the_row_frieze_past_ninety_bits():
+    # a ratio of consecutive Fibonacci numbers embeds at Fibonacci points
+    a, b = 1, 1
+    while b.bit_length() < 100:
+        a, b = b, a + b
+    q = quiddity_of(polygon_of_lotus(lotus_of_slope(Rational(b, a)))[0])
+    assert max(max(v) for v in embed_polygon(q, 0)).bit_length() >= 90
+    assert_store_is_the_row_frieze(q)
+
+
+def test_entries_are_a_read_only_mapping_over_the_fundamental_domain():
+    f = frieze_from_quiddity(RUNNING_QUIDDITY)
+    m = f.m
+    assert isinstance(f.entries, Mapping)
+    assert set(f.entries) == {(i, j) for i in range(m) for j in range(i + 1, m)}
+    assert len(f.entries) == m * (m - 1) // 2 == len(list(f.entries))
+    for key in ((0, 0), (3, 3), (2, 1), (-1, 2), (0, m), (m, m + 1), (0,), (0, 1, 2), "01", 5):
+        assert key not in f.entries
+        with pytest.raises(KeyError):
+            f.entries[key]
+    with pytest.raises(TypeError):
+        f.entries[(0, 1)] = 2
+    assert f == f._replace(entries=dict(RUNNING_DOMAIN))
+    assert f != f._replace(entries={**RUNNING_DOMAIN, (0, 5): 12})
+
+
+def test_replaced_entries_answer_entry():
+    f = frieze_from_quiddity(RUNNING_QUIDDITY)
+    g = dataclasses.replace(f, entries={**f.entries, (0, 5): 12})
+    assert type(g.entries) is dict
+    assert g.entry(0, 5) == g.entry(5, 8) == 12
+    assert f.entry(0, 5) == 11
+    assert all(g.entry(i, j) == v for (i, j), v in RUNNING_DOMAIN.items() if (i, j) != (0, 5))
+
+
+def test_refusals_are_the_row_scan_refusals():
+    # the ear cut accepts what the row scan accepts, and a refusal carries
+    # the scan's message
+    for m in range(3, 8):
+        for q in product(range(1, 5), repeat=m):
+            scan = outcome(frieze_rows, q)  # None on acceptance
+            got = outcome(frieze_from_quiddity, q)
+            if scan is None:
+                assert got.entries == frieze_by_rows(q)
+            else:
+                assert got == scan
+
+
+def test_refusals_before_any_row_keep_their_order():
+    # length, then positivity, then the ceiling on entries
+    for q, message in (((0, 0), "quiddity needs length >= 3"),
+                       ((0,) * 3163, "quiddity entry 0 at position 0 is not positive"),
+                       ((1,) * 3162 + (0,), "quiddity entry 0 at position 3162 is not positive"),
+                       ((1,) * 3163, "the frieze of a 3163-gon has 5000703 entries, "
+                                     f"over the limit of {MAX_FRIEZE_ENTRIES}")):
+        assert outcome(frieze_from_quiddity, q) == outcome(frieze_rows, q) == message
