@@ -24,10 +24,10 @@ from collections.abc import Sequence
 
 from . import __version__
 from .contfrac import Rational, _refuse_long_integer, hj_expand, kidoh_dual
-from .frieze import Frieze, frieze_from_quiddity
+from .frieze import Frieze, _check_quiddity, frieze_from_quiddity
 from .lotus import (Lotus, Petal, embed_polygon, lotus_of_polygon,
                     lotus_of_slope, lotus_of_slopes, polygon_of_lotus)
-from .polygon import polygon_from_quiddity, quiddity_of
+from .polygon import quiddity_of
 from .polyparse import parse_poly
 from .render import RenderOptions, render_frieze_text, render_graph_dot, render_lotus_svg
 from .resolution import (ResolutionGraph, count_resolution_graphs,
@@ -90,12 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _input_parser(sub, "frieze", "build and print a frieze", _cmd_frieze,
                       "[--periods PERIODS] [--json] [--out FILE]")
-    p.add_argument("--periods", type=int, default=1, help="periods in the text grid")
+    p.add_argument("--periods", type=_int, default=1, help="periods in the text grid")
     _common(p)
 
     p = sub.add_parser("embed", help="embed a quiddity into the lattice")
     p.add_argument("--quiddity", required=True, help="comma-separated quiddity")
-    p.add_argument("-k", type=int, default=0, help="quiddity position placed at (0,1)")
+    p.add_argument("-k", type=_int, default=0, help="quiddity position placed at (0,1)")
     _common(p)
     p.set_defaults(handler=_cmd_embed)
 
@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _common(p)
 
     p = sub.add_parser("count", help="number of weighted A_n resolution chains")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     _common(p)
     p.set_defaults(handler=_cmd_count)
 
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "--format {svg,dot,text} [--periods PERIODS]",
                       "[--scale SCALE] [--grid] [--weights] [--out FILE]")
     p.add_argument("--format", choices=("svg", "dot", "text"), required=True)
-    p.add_argument("--periods", type=int, default=1)
+    p.add_argument("--periods", type=_int, default=1)
     p.add_argument("--scale", type=float, default=40.0)
     p.add_argument("--grid", action="store_true", help="draw lattice grid lines (svg)")
     p.add_argument("--weights", action="store_true", help="label weights (svg)")
@@ -135,6 +135,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = re.compile("-[^-]")
     return parser
+
+
+def _int(text: str) -> int:
+    """``int`` for options, refusing a number past the digit limit by position."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            _refuse_long_integer(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _common(p: argparse.ArgumentParser) -> None:
@@ -199,7 +211,7 @@ def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
             raise ValueError(f"{args.poly!r} is degenerate: a compact-edge restriction "
                              "is not square-free away from the axes")
         return lotus_of_poly(f)
-    return lotus_of_polygon(polygon_from_quiddity(_parse_quiddity(args.quiddity)), 0)
+    return lotus_of_polygon(_check_quiddity(_parse_quiddity(args.quiddity)), 0)
 
 
 def _frieze_from_args(args, stdin_text: str | None) -> Frieze:
@@ -290,8 +302,7 @@ def _cmd_frieze(args, stdin_text) -> str:
 
 
 def _cmd_embed(args, stdin_text) -> str:
-    q = _parse_quiddity(args.quiddity)
-    verts = embed_polygon(q, args.k)
+    verts = embed_polygon(_parse_quiddity(args.quiddity), args.k)
     if args.json:
         return _dump({"vertices": [list(v) for v in verts]})
     return " ".join(f"({x},{y})" for x, y in verts) + "\n"

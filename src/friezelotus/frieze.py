@@ -8,11 +8,10 @@ quiddity row, and rows m-1 / m close the array with 1s and 0s again (m is the
 period, the width is w = m - 3).  A quiddity tuple ``q`` feeds positions
 0..m-1, i.e. value(i-1, i+1) = q[i % m].
 
-Two reductions resolve every index pair into the triangular
-fundamental domain {(i, j) : 0 <= i < j <= m-1}: both indices are periodic
-with period m, and value(i, j) = value(j, i + m) (the glide reflection).
-Together these say a value depends only on the unordered pair of residues
-mod m, which is exactly how ``Frieze.entry`` normalises.
+Two reductions resolve every index pair into the fundamental domain
+{(i, j) : 0 <= i < j <= m-1}: both indices have period m, and value(i, j) =
+value(j, i + m) (the glide reflection), so a value depends only on the
+unordered pair of residues mod m, which is how ``Frieze.entry`` normalises.
 
 A diagonal [u, v] of the associated polygon (vertices labelled 1..m)
 corresponds to the pair (u-1, v-1) here; the triangulation's diagonals are
@@ -29,9 +28,8 @@ both are 0 at j = i and 1 at j = i+1, and both run the same recurrence in
 j.  An entry is therefore one 2x2 determinant, made when it is read.
 
 The quiddities with a positive frieze are exactly those of triangulated
-polygons, so validity comes from the O(m) ear cut.  Only a refused quiddity
-is scanned row by row (:func:`frieze_rows`, two rows kept), so that the
-refusal names the first bad diamond.
+polygons, so :func:`_check_quiddity`, the O(m) ear cut, is the one gate that
+every quiddity passes.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 
-from .contfrac import continuant
-from .polygon import TriangulatedPolygon, polygon_from_quiddity, quiddity_of
+from .polygon import TriangulatedPolygon, _check_prelude, polygon_from_quiddity
 
 Point = tuple[int, int]
 
@@ -104,13 +101,16 @@ class _Determinants(Mapping):
 
 
 def frieze_from_quiddity(q: Sequence[int]) -> Frieze:
-    """The frieze whose quiddity row is ``q``, refused as :func:`frieze_rows`
-    refuses it: the length, positivity and size checks first, then the ear
-    cut, whose refusal names the first bad diamond."""
+    """The frieze of quiddity row ``q``, refused for its length, then a
+    non-positive entry, then the ceiling, then by :func:`_check_quiddity`."""
     q = tuple(q)
-    _check_shape(q)
+    m = len(q)
+    if m * (m - 1) // 2 > MAX_FRIEZE_ENTRIES:
+        _check_prelude(q)
+        raise ValueError(f"the frieze of a {m}-gon has {m * (m - 1) // 2} entries, "
+                         f"over the limit of {MAX_FRIEZE_ENTRIES}")
     _check_quiddity(q)
-    return Frieze(len(q), q, _Determinants(_embed(q, 0)))
+    return Frieze(m, q, _Determinants(_embed(q, 0)))
 
 
 def _embed(q: tuple[int, ...], k: int) -> list[Point]:
@@ -127,79 +127,28 @@ def _embed(q: tuple[int, ...], k: int) -> list[Point]:
     return verts
 
 
-def _check_shape(q: tuple[int, ...]) -> None:
-    """The refusals made before any row: length, positivity, size."""
-    m = len(q)
-    if m < 3:
-        raise ValueError("quiddity needs length >= 3")
-    for t, a in enumerate(q):
-        if a < 1:
-            raise ValueError(f"quiddity entry {a} at position {t} is not positive")
-    size = m * (m - 1) // 2
-    if size > MAX_FRIEZE_ENTRIES:
-        raise ValueError(f"the frieze of a {m}-gon has {size} entries, "
-                         f"over the limit of {MAX_FRIEZE_ENTRIES}")
-
-
-def frieze_rows(q: tuple[int, ...]) -> None:
-    """Refuse ``q`` unless it is a frieze quiddity, naming the first
-    offending pair in row-major order, by building the frieze row by row
-    and holding only two rows.
-
-    Row d comes from the two rows before it by the continuant recurrence
-    value(i, i+d) = q[i+d-1] * value(i, i+d-1) - value(i, i+d-2), which needs
-    no divisibility test: the diamond rule gives the same numbers.  The
-    input is refused if an entry of rows 2..m-2 is not positive or the
-    closing row m-1 is not all 1s."""
-    _check_shape(q)
-    m = len(q)
-    prev2, prev = [0] * m, [1] * m
-    for d in range(2, m):
-        row = [a * p - pp for a, p, pp in zip(q[d - 1:] + q[:d - 1], prev, prev2)]
-        if d <= m - 2 and min(row) < 1:
-            i = next(i for i, val in enumerate(row) if val < 1)
-            raise ValueError(_bad_diamond(i, i + d, f"the non-positive entry {row[i]}"))
-        prev2, prev = prev, row
-    for i, val in enumerate(prev):
-        if val != 1:
-            raise ValueError(_bad_diamond(i, i + m - 1, f"closing value {val} instead of 1"))
-
-
-def _bad_diamond(i: int, j: int, what: str) -> str:
-    return (f"not a frieze quiddity: the diamond rule at ({i},{j}) produces {what}")
-
-
-def frieze_of_triangulation(p: TriangulatedPolygon) -> Frieze:
-    """Frieze whose quiddity is the triangle-count sequence of ``p``
-    (vertex t+1 of the polygon feeds quiddity position t)."""
-    return frieze_from_quiddity(quiddity_of(p))
-
-
-def triangulation_of_frieze(f: Frieze) -> TriangulatedPolygon:
-    """Inverse of :func:`frieze_of_triangulation`, by repeated ear cutting."""
-    return polygon_from_quiddity(f.quiddity)
-
-
-def complete_quiddity(prefix: Sequence[int]) -> tuple[int, ...]:
-    """Extend w+1 consecutive quiddity values of a width-w frieze by the two
-    remaining ones, which are the continuants of the prefix minus its last
-    (respectively first) element.  An unextendable prefix is refused as
-    ``embed_polygon`` refuses the completed quiddity."""
-    prefix = tuple(prefix)
-    if len(prefix) < 1:
-        raise ValueError("prefix must contain at least one entry (width 0)")
-    full = prefix + (continuant(prefix[:-1]), continuant(prefix[1:]))
-    _check_quiddity(full)
-    return full
-
-
-def _check_quiddity(q: tuple[int, ...]) -> None:
-    """Accept exactly the frieze quiddities, by the O(m) ear cut (Conway-Coxeter).
-    A refused quiddity whose frieze is under the ceiling is refused with the
-    message of :func:`frieze_rows`, which names the first bad diamond."""
+def _check_quiddity(q: tuple[int, ...]) -> TriangulatedPolygon:
+    """The triangulation of ``q`` by the O(m) ear cut, which accepts exactly
+    the frieze quiddities (Conway-Coxeter).  A refusal of the length, of a
+    non-positive entry or past the frieze ceiling stands.  Any other names
+    the first bad pair in row-major order, building rows two at a time by
+    the continuant recurrence, which gives the diamond rule's numbers with no
+    division: rows 2..m-2 must be positive and row m-1 all 1s."""
     try:
-        polygon_from_quiddity(q)
+        return polygon_from_quiddity(q)
     except ValueError:
-        if len(q) * (len(q) - 1) // 2 <= MAX_FRIEZE_ENTRIES:
-            frieze_rows(q)
+        m = len(q)
+        if m < 3 or min(q) < 1 or m * (m - 1) // 2 > MAX_FRIEZE_ENTRIES:
+            raise
+        bad = "not a frieze quiddity: the diamond rule at ({},{}) produces {}"
+        prev2, prev = [0] * m, [1] * m
+        for d in range(2, m):
+            row = [a * p - pp for a, p, pp in zip(q[d - 1:] + q[:d - 1], prev, prev2)]
+            if d <= m - 2 and min(row) < 1:
+                i = next(i for i, val in enumerate(row) if val < 1)
+                raise ValueError(bad.format(i, i + d, f"the non-positive entry {row[i]}"))
+            prev2, prev = prev, row
+        for i, val in enumerate(prev):
+            if val != 1:
+                raise ValueError(bad.format(i, i + m - 1, f"closing value {val} instead of 1"))
         raise

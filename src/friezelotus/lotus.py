@@ -94,9 +94,6 @@ class Lotus(namedtuple("Lotus", "petals marks")):
     def is_segment(self) -> bool:
         return not self.petals
 
-    def unmarked(self) -> Lotus:
-        return _lotus(self.petals)
-
 
 def _lotus(petals: frozenset[Petal], marks: frozenset[Point] = frozenset()) -> Lotus:
     """A lotus known to be valid, built without the checks."""
@@ -181,9 +178,7 @@ def embed_polygon(q: Sequence[int], k: int) -> list[Point]:
     equivalently v_l is the pair of frieze entries
     (entry(k, k+l-1), entry(k-1, k+l-1)).
 
-    Exactly the frieze quiddities are accepted, and a refusal names the
-    frieze's first bad diamond, as in ``complete_quiddity``: both call
-    ``frieze._check_quiddity``.
+    Exactly the frieze quiddities pass its gate, ``frieze._check_quiddity``.
     """
     q = tuple(q)
     _check_quiddity(q)

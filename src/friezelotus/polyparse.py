@@ -202,24 +202,10 @@ def _cross(a: Term, b: Term, c: Term) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def restrict_to_edge(f: Poly2, edge: tuple[Term, Term]) -> tuple[int, ...]:
-    """Coefficients of the one-variable dehomogenisation of f along a compact
-    edge of its Newton polyhedron.
-
-    Walking the edge from its left endpoint in primitive steps sigma, the
-    result g has g[k] = coefficient of f at (left + k*sigma); both endpoint
-    coefficients are nonzero.
-    """
-    if f.is_zero:
-        raise ValueError("the zero polynomial has no Newton polyhedron")
-    pair = tuple(sorted(edge))
-    if pair not in compact_edges(f.support()):
-        raise ValueError(f"{edge} is not a compact edge of the Newton polyhedron")
-    return _edge_coefficients(f, pair)
-
-
 def _edge_coefficients(f: Poly2, edge: tuple[Term, Term]) -> tuple[int, ...]:
-    """:func:`restrict_to_edge` for a compact edge, left endpoint first."""
+    """Coefficients g of f along a compact edge of its Newton polyhedron,
+    given left endpoint first: g[k] is the coefficient at left + k*sigma, for
+    the primitive step sigma, and both end coefficients are nonzero."""
     (x0, y0), (x1, y1) = edge
     dx, dy = x1 - x0, y1 - y0
     steps = gcd(dx, dy)

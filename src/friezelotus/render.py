@@ -41,6 +41,9 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
         finite = False
     if not finite:
         raise ValueError(f"at scale {scale:g} the drawing's width or height is not finite")
+    width, height = _fmt(max_x * scale), _fmt(max_y * scale)
+    if "0" in (width, height):
+        raise ValueError(f"at scale {scale:g} the drawing's width or height rounds to 0")
     if options.show_grid and max_x + max_y + 2 > MAX_GRID_LINES:
         raise ValueError(f"the lattice grid would need over {MAX_GRID_LINES} lines")
 
@@ -50,15 +53,14 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(max_x * scale)}" height="{_fmt(max_y * scale)}" '
-        f'viewBox="0 0 {_fmt(max_x * scale)} {_fmt(max_y * scale)}">',
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
     ]
     if options.show_grid:
         for gx in range(max_x + 1):
             lines.append(f'  <line x1="{_fmt(gx * scale)}" y1="0" x2="{_fmt(gx * scale)}" '
-                         f'y2="{_fmt(max_y * scale)}" stroke="#dddddd" stroke-width="1"/>')
+                         f'y2="{height}" stroke="#dddddd" stroke-width="1"/>')
         for gy in range(max_y + 1):
-            lines.append(f'  <line x1="0" y1="{_fmt(gy * scale)}" x2="{_fmt(max_x * scale)}" '
+            lines.append(f'  <line x1="0" y1="{_fmt(gy * scale)}" x2="{width}" '
                          f'y2="{_fmt(gy * scale)}" stroke="#dddddd" stroke-width="1"/>')
     for petal in sorted(l.petals):
         corners = " ".join(at(p) for p in (petal.u, petal.v, petal.apex))

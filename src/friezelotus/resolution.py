@@ -182,7 +182,7 @@ def catalan(n: int) -> int:
 def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
     """Every stage of the blowup process: all nonempty parent-closed petal
     subsets of ``l`` (the full set included), each with its chain graph,
-    by decreasing petal count and unmarked.
+    by decreasing petal count and with no marks.
 
     A stage grows from a smaller one by blowing up boundary edges (u, v)
     whose petal is in ``l``, left to right, so each stage is made once.

@@ -84,8 +84,8 @@ def _quadrilateral(l: Lotus, d: Diagonal) -> tuple[Petal, Petal]:
 
 
 def mutate_lotus(l: Lotus, d: Diagonal) -> Lotus:
-    """Flip diagonal ``d`` (labels of the lotus polygon), giving the unmarked
-    lotus of the flipped triangulation with vertex 1 at (0,1).
+    """Flip diagonal ``d`` (labels of the lotus polygon), giving the
+    lotus, with no marks, of the flipped triangulation with vertex 1 at (0,1).
 
     With p the petal on d and q = (a, b) its parent, of apex c, base-side
     petals stay and p gives way to q's other child: the vertex at p's apex

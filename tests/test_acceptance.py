@@ -10,8 +10,8 @@ import time
 
 from friezelotus.cli import run
 from friezelotus.contfrac import Rational, hj_expand
-from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
-from friezelotus.lotus import (Petal, embed_polygon, lotus_of_polygon, lotus_of_slope,
+from friezelotus.frieze import frieze_from_quiddity
+from friezelotus.lotus import (Lotus, Petal, embed_polygon, lotus_of_polygon, lotus_of_slope,
                                pinching_points, polygon_of_lotus)
 from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import parse_poly
@@ -113,7 +113,7 @@ def test_criterion_5_partial_resolutions():
 
     full = lotus_of_slope(Rational(11, 8))
     poly, _ = polygon_of_lotus(full)
-    values = set(frieze_of_triangulation(poly).entries.values())
+    values = set(frieze_from_quiddity(quiddity_of(poly)).entries.values())
     for chain in got:
         assert all(-w in values for w in chain)
 
@@ -152,7 +152,7 @@ PENTAGON_SEQUENCE = [
 
 @criterion(7, "pentagon mutation cycle with double-mutation identity")
 def test_criterion_7_mutation_cycle():
-    start = lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).unmarked()
+    start = Lotus(lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).petals)
     assert curve_of_lotus(start).factors == ((2, 1), (1, 2))
     cur = start
     for diagonal, factors in PENTAGON_SEQUENCE:
@@ -173,7 +173,7 @@ def test_criterion_8_property_suites():
             q = quiddity_of(t)
             assert sum(q) == 3 * (m - 2)
             assert sum(1 for a in q if a == 1) >= 2
-            f = frieze_of_triangulation(t)
+            f = frieze_from_quiddity(quiddity_of(t))
             for i in range(m):
                 for d in range(0, m - 1):
                     j = i + d
@@ -199,7 +199,7 @@ def test_criterion_8_property_suites():
         q = quiddity_of(t)
         assert sum(q) == 3 * (m - 2)
         assert sum(1 for a in q if a == 1) >= 2
-        f = frieze_of_triangulation(t)
+        f = frieze_from_quiddity(quiddity_of(t))
         for i in range(m):
             assert (f.entry(i - 1, i) * f.entry(i, i + 1)
                     - f.entry(i, i) * f.entry(i - 1, i + 1)) == 1

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import time
+from itertools import product
 from math import gcd
 
 import pytest
@@ -10,13 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from friezelotus.cli import _dump, frieze_to_json, lotus_to_json, run
 from friezelotus.contfrac import MAX_VERTICES, Rational, hj_expand
-from friezelotus.frieze import (MAX_FRIEZE_ENTRIES, Frieze, frieze_from_quiddity,
-                                frieze_of_triangulation)
+from friezelotus.frieze import MAX_FRIEZE_ENTRIES, Frieze, _check_quiddity, frieze_from_quiddity
 from friezelotus.lotus import lotus_of_slope, lotus_of_slopes, polygon_of_lotus
 from friezelotus.polygon import polygon_of_cf, quiddity_of
 from friezelotus.render import MAX_GRID_LINES, render_frieze_text
 
-from conftest import frieze_by_rows
+from conftest import frieze_by_rows, outcome
 
 
 def test_hj_running():
@@ -100,6 +101,38 @@ def test_numbers_past_the_digit_limit_are_refused_by_position(argv, position, ca
     assert run(argv) == (1, "")
     assert capsys.readouterr().err == (
         f"error: integer longer than {limit} digits at position {position}\n")
+
+
+@pytest.mark.parametrize("argv, option, position", [
+    (["count", LONG], "n", 0),
+    (["frieze", "--rational", "3/2", "--periods", LONG], "--periods", 0),
+    (["render", "--rational", "3/2", "--format", "text", "--periods", LONG], "--periods", 0),
+    (["embed", "--quiddity", "1,1,1", "-k", f"-{LONG}"], "-k", 1),
+])
+def test_integer_options_past_the_digit_limit_are_refused_by_position(argv, option, position,
+                                                                      capsys):
+    # still a usage error, but with no echo of the number
+    limit = sys.get_int_max_str_digits()
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {option}: "
+                        f"integer longer than {limit} digits at position {position}\n")
+    assert len(err) < 500
+
+
+def test_integer_options_keep_their_other_refusals(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["count", "abc"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "usage: friezelotus count [-h] [--json] [--out FILE] n\n"
+        "friezelotus count: error: argument n: invalid int value: 'abc'\n")
+    assert run(["embed", "--quiddity", "1,1,1", "-k", "x"]) == (2, "")
+    assert capsys.readouterr().err.endswith("error: argument -k: invalid int value: 'x'\n")
+    assert run(["count", "-1"]) == (1, "")
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert run(["frieze", "--rational", "3/2", "--periods", "-1"]) == (1, "")
+    assert capsys.readouterr().err == "error: periods must be >= 1\n"
+    assert run(["embed", "--quiddity", "1,2,2,1,3", "-k", "-1"])[0] == 0
 
 
 def test_partials_running():
@@ -248,7 +281,7 @@ def test_rational_frieze_matches_the_two_eared_polygon():
                 code, out = run(["frieze", "--rational", f"{n}/{q}", "--json"])
                 oracle = polygon_of_cf(hj_expand(Rational(n, q)))
                 assert code == 0
-                assert json.loads(out) == frieze_to_json(frieze_of_triangulation(oracle))
+                assert json.loads(out) == frieze_to_json(frieze_from_quiddity(quiddity_of(oracle)))
 
 
 def test_rational_frieze_at_most_one_reverses_the_inverse_slope():
@@ -315,6 +348,41 @@ def test_option_values_may_begin_with_a_minus(capsys):
         assert run(argv) == (2, "")
         assert capsys.readouterr().err.endswith(
             f"error: argument {option}: expected one argument\n")
+
+
+# every subcommand that reads --quiddity, with what else it needs
+QUIDDITY_ROUTES = (["frieze"], ["embed"], ["lotus"], ["graph"], ["partials"],
+                   ["render", "--format", "text"], ["render", "--format", "dot"],
+                   ["render", "--format", "svg"], ["reduce", "--diagonal", "1,3"],
+                   ["mutate", "--diagonal", "1,3"])
+
+
+def assert_refused_alike(q, capsys):
+    """Every route refuses ``q`` with the one line of the quiddity gate."""
+    message = outcome(_check_quiddity, q)
+    assert isinstance(message, str)
+    for route in QUIDDITY_ROUTES:
+        assert run([*route, "--quiddity", ",".join(map(str, q))]) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_refused_quiddity_reads_the_same_in_every_subcommand(capsys):
+    for m in range(2, 5):
+        for q in product(range(-1, 5), repeat=m):
+            if isinstance(outcome(_check_quiddity, q), str):
+                assert_refused_alike(q, capsys)
+
+
+def test_a_longer_refused_quiddity_reads_the_same_in_every_subcommand(capsys):
+    # a sample of lengths 5..7, entries -1..4: the sweep above, run to
+    # length 7, would make some 3.4 M invocations
+    rng = random.Random(7)
+    refused = 0
+    while refused < 300:
+        q = tuple(rng.randint(-1, 4) for _ in range(rng.randint(5, 7)))
+        if isinstance(outcome(_check_quiddity, q), str):
+            assert_refused_alike(q, capsys)
+            refused += 1
 
 
 def test_frieze_of_slopes_is_the_frieze_of_their_lotus_polygon():
@@ -524,6 +592,15 @@ def test_svg_of_no_finite_size_is_refused(capsys):
         assert run(["render", "--format", "svg", *argv]) == (1, "")
         assert capsys.readouterr().err == (
             f"error: at scale {scale} the drawing's width or height is not finite\n")
+    # nor one whose width or height rounds to 0, every point at 0,0
+    for scale, shown in (("1e-320", "9.99989e-321"), ("0.0001", "0.0001")):
+        argv = ["render", "--rational", "3/2", "--format", "svg", "--scale", scale]
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: at scale {shown} the drawing's width or height rounds to 0\n")
+    # the 3/2 drawing is 3 by 4 units: at 0.0002 its width shows as 0.001
+    code, out = run(["render", "--rational", "3/2", "--format", "svg", "--scale", "0.0002"])
+    assert code == 0 and 'width="0.001" height="0.001"' in out
 
 
 def test_svg_grid_is_held_to_a_line_ceiling(capsys, monkeypatch):

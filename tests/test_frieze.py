@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from friezelotus.contfrac import Rational, continuant, hj_expand
-from friezelotus.frieze import (MAX_FRIEZE_ENTRIES, complete_quiddity,
-                                frieze_from_quiddity, frieze_of_triangulation,
-                                frieze_rows, triangulation_of_frieze)
+from friezelotus.frieze import MAX_FRIEZE_ENTRIES, _check_quiddity, frieze_from_quiddity
 from friezelotus.lotus import embed_polygon, lotus_of_slope, polygon_of_lotus
 from friezelotus.polygon import polygon_from_quiddity, polygon_of_cf, quiddity_of
 
@@ -82,7 +80,7 @@ def test_diamond_rule_exhaustive():
     # rows 0..m-2
     for m in range(3, 10):
         for t in enumerate_triangulations(m):
-            f = frieze_of_triangulation(t)
+            f = frieze_from_quiddity(quiddity_of(t))
             for i in range(m):
                 for d in range(0, m - 1):
                     j = i + d
@@ -93,7 +91,7 @@ def test_diamond_rule_exhaustive():
 def test_entries_are_continuants():
     for m in range(3, 10):
         for t in enumerate_triangulations(m):
-            f = frieze_of_triangulation(t)
+            f = frieze_from_quiddity(quiddity_of(t))
             q = f.quiddity
             for i in range(m):
                 for j in range(i + 1, i + m + 1):
@@ -103,7 +101,7 @@ def test_entries_are_continuants():
 def test_ones_are_exactly_edges_and_diagonals():
     for m in range(4, 9):
         for t in enumerate_triangulations(m):
-            f = frieze_of_triangulation(t)
+            f = frieze_from_quiddity(quiddity_of(t))
             ones = {(i, j) for (i, j), v in f.entries.items()
                     if v == 1 and 2 <= j - i <= m - 2}
             expected = {(a - 1, b - 1) for a, b in t.diagonals}
@@ -113,57 +111,51 @@ def test_ones_are_exactly_edges_and_diagonals():
 def test_bijection_with_triangulations():
     for m in range(3, 10):
         for t in enumerate_triangulations(m):
-            assert triangulation_of_frieze(frieze_of_triangulation(t)) == t
+            assert polygon_from_quiddity(frieze_from_quiddity(quiddity_of(t)).quiddity) == t
 
 
 def test_n_q_in_frieze_for_all_small_fractions():
     for n, q in coprime_pairs(60):
         terms = hj_expand(Rational(n, q))
-        f = frieze_of_triangulation(polygon_of_cf(terms))
+        f = frieze_from_quiddity(quiddity_of(polygon_of_cf(terms)))
         r = len(terms)
         assert f.entry(0, r + 1) == n
         assert f.entry(1, r + 1) == q
 
 
 def test_complete_quiddity_running():
-    assert complete_quiddity((2, 2, 3, 2, 1, 3)) == (2, 2, 3, 2, 1, 3, 4, 1)
+    # Conway-Coxeter: w+1 consecutive entries of a width-w frieze fix the
+    # other two, the continuants of the prefix without its last (first) entry
+    p = (2, 2, 3, 2, 1, 3)
+    assert (continuant(p[:-1]), continuant(p[1:])) == (4, 1)
+    assert embed_polygon(p + (4, 1), 0)[-1] == (1, 0)
 
 
 def test_complete_quiddity_trivial_and_fan():
-    assert complete_quiddity((1,)) == (1, 1, 1)
-    assert complete_quiddity((6, 1, 2, 2, 2, 2)) == (6, 1, 2, 2, 2, 2, 2, 1)
+    for q in ((1, 1, 1), (6, 1, 2, 2, 2, 2, 2, 1)):
+        p = q[:-2]
+        assert (continuant(p[:-1]), continuant(p[1:])) == q[-2:]
+        assert embed_polygon(q, 0)[-1] == (1, 0)
 
 
 def test_complete_quiddity_recovers_every_small_frieze():
+    # a prefix completes to a quiddity that embeds exactly when it begins a
+    # triangulation's quiddity, and then completes to that quiddity
     for m in range(3, 9):
-        for t in enumerate_triangulations(m):
-            q = quiddity_of(t)
-            assert complete_quiddity(q[:m - 2]) == q
+        completed = set()
+        for p in product(range(1, m - 1), repeat=m - 2):
+            q = p + (continuant(p[:-1]), continuant(p[1:]))
+            if accepts(lambda q: embed_polygon(q, 0), q):
+                completed.add(q)
+        assert completed == {quiddity_of(t) for t in enumerate_triangulations(m)}
 
 
 def test_complete_quiddity_past_the_frieze_ceiling():
     q = quiddity_of(polygon_of_cf(hj_expand(Rational(3201, 3200))))
     assert len(q) * (len(q) - 1) // 2 > MAX_FRIEZE_ENTRIES
-    assert complete_quiddity(q[:-2]) == q
-
-
-def test_complete_quiddity_rejects_unextendable_prefix():
-    # the completion (1, 1, 5, 1, -1, 3) is refused as the frieze refuses it
-    with pytest.raises(ValueError, match="^quiddity entry -1 at position 4 is not positive$"):
-        complete_quiddity((1, 1, 5, 1))
-    with pytest.raises(ValueError, match=r"^prefix must contain at least one entry \(width 0\)$"):
-        complete_quiddity(())
-
-
-def test_complete_quiddity_refuses_with_the_embedding_message():
-    # a prefix is extended, or refused with the text that embed_polygon
-    # gives for its completion, which names the frieze's first bad diamond
-    for n in range(1, 6):
-        for prefix in product(range(1, 5), repeat=n):
-            full = prefix + (continuant(prefix[:-1]), continuant(prefix[1:]))
-            embedding = outcome(lambda q: embed_polygon(q, 0), full)
-            expected = embedding if isinstance(embedding, str) else full
-            assert outcome(complete_quiddity, prefix) == expected
+    p = q[:-2]
+    assert (continuant(p[:-1]), continuant(p[1:])) == q[-2:]
+    assert embed_polygon(q, 0)[-1] == (1, 0)
 
 
 def diamond_rule_frieze(q):
@@ -284,23 +276,22 @@ def test_replaced_entries_answer_entry():
 
 
 def test_refusals_are_the_row_scan_refusals():
-    # the ear cut accepts what the row scan accepts, and a refusal carries
-    # the scan's message
-    for m in range(3, 8):
-        for q in product(range(1, 5), repeat=m):
-            scan = outcome(frieze_rows, q)  # None on acceptance
-            got = outcome(frieze_from_quiddity, q)
-            if scan is None:
-                assert got.entries == frieze_by_rows(q)
-            else:
-                assert got == scan
+    # the gate accepts what a row scan accepts, returning the ear cut's
+    # triangulation, and a refusal carries the scan's message
+    for m in range(2, 7):
+        for q in product(range(-1, 5), repeat=m):
+            scan = outcome(diamond_rule_frieze, q)
+            gate = outcome(_check_quiddity, q)
+            assert gate == (scan if isinstance(scan, str) else polygon_from_quiddity(q))
 
 
 def test_refusals_before_any_row_keep_their_order():
-    # length, then positivity, then the ceiling on entries
+    # length, then positivity, then the ceiling on entries; the ear cut and
+    # the embedding, which build no frieze, refuse the first two alike
     for q, message in (((0, 0), "quiddity needs length >= 3"),
                        ((0,) * 3163, "quiddity entry 0 at position 0 is not positive"),
-                       ((1,) * 3162 + (0,), "quiddity entry 0 at position 3162 is not positive"),
-                       ((1,) * 3163, "the frieze of a 3163-gon has 5000703 entries, "
-                                     f"over the limit of {MAX_FRIEZE_ENTRIES}")):
-        assert outcome(frieze_from_quiddity, q) == outcome(frieze_rows, q) == message
+                       ((1,) * 3162 + (0,), "quiddity entry 0 at position 3162 is not positive")):
+        for build in (frieze_from_quiddity, polygon_from_quiddity, lambda q: embed_polygon(q, 0)):
+            assert outcome(build, q) == message
+    assert outcome(frieze_from_quiddity, (1,) * 3163) == (
+        f"the frieze of a 3163-gon has 5000703 entries, over the limit of {MAX_FRIEZE_ENTRIES}")

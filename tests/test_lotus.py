@@ -11,7 +11,7 @@ from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal,
                                lateral_boundary, lotus_of_polygon,
                                lotus_of_slope, lotus_of_slopes,
                                pinching_points, polygon_of_lotus)
-from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
+from friezelotus.frieze import frieze_from_quiddity
 from friezelotus.polygon import quiddity_of
 
 from conftest import (coprime_pairs, enumerate_triangulations, outcome, petal_of_triangle,
@@ -172,7 +172,7 @@ def test_embedding_matches_frieze_diagonals():
     # recurrence output against the frieze-entry formula, all anchors
     for m in range(3, 9):
         for t in enumerate_triangulations(m):
-            f = frieze_of_triangulation(t)
+            f = frieze_from_quiddity(quiddity_of(t))
             q = f.quiddity
             for k in range(m):
                 verts = embed_polygon(q, k)
@@ -222,7 +222,7 @@ def test_quiddity_agreement_with_duality():
 
 def test_polygon_of_lotus_roundtrip():
     for n, q in coprime_pairs(30):
-        l = lotus_of_slope(Rational(n, q)).unmarked()
+        l = Lotus(lotus_of_slope(Rational(n, q)).petals)
         poly, verts = polygon_of_lotus(l)
         assert verts[0] == E2 and verts[-1] == E1
         assert lotus_of_polygon(poly, 0) == l

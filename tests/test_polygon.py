@@ -241,8 +241,9 @@ def smallest_label_ear_cut(q):
     m = len(q)
     if m < 3:
         raise ValueError("quiddity needs length >= 3")
-    if any(a < 1 for a in q):
-        raise ValueError("quiddity entries must be >= 1")
+    for t, a in enumerate(q):
+        if a < 1:
+            raise ValueError(f"quiddity entry {a} at position {t} is not positive")
     values = {t + 1: q[t] for t in range(m)}
     nxt = {t + 1: ((t + 1) % m) + 1 for t in range(m)}
     prv = {v: k for k, v in nxt.items()}

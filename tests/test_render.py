@@ -3,8 +3,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from friezelotus.contfrac import Rational
-from friezelotus.frieze import frieze_from_quiddity, frieze_of_triangulation
+from friezelotus.frieze import frieze_from_quiddity
 from friezelotus.lotus import BASE_PETAL, Lotus, lotus_of_slope
+from friezelotus.polygon import quiddity_of
 from friezelotus.render import (RenderOptions, render_frieze_text,
                                 render_graph_dot, render_lotus_svg)
 from friezelotus.resolution import ResolutionGraph, graph_of_lotus
@@ -110,7 +111,7 @@ def spliced_frieze_text(f, periods):
 def test_frieze_text_matches_spliced_reference():
     for m in range(3, 10):
         for t in enumerate_triangulations(m):
-            f = frieze_of_triangulation(t)
+            f = frieze_from_quiddity(quiddity_of(t))
             for periods in (1, 2, 3):
                 assert render_frieze_text(f, periods) == spliced_frieze_text(f, periods)
 

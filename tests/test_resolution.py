@@ -12,7 +12,7 @@ from friezelotus.contfrac import Rational
 from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, lateral_boundary,
                                lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
                                pinching_points, polygon_of_lotus)
-from friezelotus.frieze import frieze_of_triangulation
+from friezelotus.frieze import frieze_from_quiddity
 from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import compact_edges, parse_poly
 from friezelotus.resolution import (PlaneCurve, ResolutionGraph, _squarefree, catalan,
@@ -228,7 +228,7 @@ def test_partials_are_sublotuses_with_frieze_entries():
     full = lotus_of_slope(Rational(11, 8))
     from friezelotus.lotus import polygon_of_lotus
     poly, _ = polygon_of_lotus(full)
-    values = set(frieze_of_triangulation(poly).entries.values())
+    values = set(frieze_from_quiddity(quiddity_of(poly)).entries.values())
     for sub, g in partial_resolutions(full):
         assert sub.petals <= full.petals
         assert all(-w in values for w in g.weights)
@@ -242,7 +242,7 @@ def test_every_partial_weight_is_a_frieze_entry():
         l = lotus_of_slopes({Rational(rng.randint(1, 9), rng.randint(1, 9))
                              for _ in range(rng.randint(1, 3))})
         poly, verts = polygon_of_lotus(l)
-        f = frieze_of_triangulation(poly)
+        f = frieze_from_quiddity(quiddity_of(poly))
         index = {pt: t for t, pt in enumerate(verts)}  # label - 1
         for sub, g in partial_resolutions(l):
             chain = lateral_boundary(sub)
@@ -270,7 +270,7 @@ def test_deep_lotus_needs_no_deep_stack():
 
 def test_partials_of_branching_lotus():
     # base petal with both children: the four downsets containing the base
-    l = lotus_of_slopes([Rational(2, 1), Rational(1, 2)]).unmarked()
+    l = Lotus(lotus_of_slopes([Rational(2, 1), Rational(1, 2)]).petals)
     pairs = partial_resolutions(l)
     assert len(pairs) == 4
     assert sorted(len(sub.petals) for sub, _ in pairs) == [1, 2, 2, 3]
@@ -368,7 +368,7 @@ def test_partials_match_the_parent_map_enumeration():
                + with_axes)
     assert max(len(partials_by_parent_map(l)) for l in lotuses) >= 100
     for l in lotuses:
-        assert partial_resolutions(l) == partials_by_parent_map(l.unmarked())
+        assert partial_resolutions(l) == partials_by_parent_map(Lotus(l.petals))
     # a 1001-petal chain: its stages are its prefixes
     l = lotus_of_slope(Rational(1001, 1000))
     pairs = partial_resolutions(l)

@@ -177,7 +177,7 @@ PENTAGON_SEQUENCE = [
 
 
 def test_pentagon_mutation_cycle():
-    start = lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).unmarked()
+    start = Lotus(lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).petals)
     assert curve_of_lotus(start).factors == ((2, 1), (1, 2))
     cur = start
     for diagonal, factors in PENTAGON_SEQUENCE:
@@ -187,7 +187,7 @@ def test_pentagon_mutation_cycle():
 
 
 def test_pentagon_double_mutation_is_identity_each_step():
-    cur = lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).unmarked()
+    cur = Lotus(lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).petals)
     for diagonal, _ in PENTAGON_SEQUENCE:
         poly, _ = polygon_of_lotus(cur)
         _, _, k1, k2 = flip_quadrilateral(poly, diagonal)
@@ -300,7 +300,7 @@ def test_the_segment_lotus_is_refused_with_one_text():
 
 
 def test_mutation_rejects_absent_diagonal():
-    l = lotus_of_slope(Rational(3, 2)).unmarked()
+    l = Lotus(lotus_of_slope(Rational(3, 2)).petals)
     with pytest.raises(ValueError):
         mutate_lotus(l, (1, 3) if (1, 3) not in polygon_of_lotus(l)[0].diagonals
                      else (2, 5))
@@ -336,7 +336,7 @@ def test_type_toggles_under_mutation():
 def test_quad_type_matches_drawn_convention():
     # the cusp-style quadrilateral (1,0),(0,1),(1,1),(2,1) with its base
     # triangle ordered (a, c, b) clockwise is type 1
-    p1 = lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).unmarked()
+    p1 = Lotus(lotus_of_poly(parse_poly("(x^2+y)*(x+y^2)")).petals)
     assert quad_type(p1, (3, 5)) == 1
     assert quad_type(p1, (1, 3)) == 2
 
