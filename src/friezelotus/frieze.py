@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 
-from .polygon import TriangulatedPolygon, _check_prelude, polygon_from_quiddity
+from .polygon import TriangulatedPolygon, polygon_from_quiddity
 
 Point = tuple[int, int]
 
@@ -101,15 +101,14 @@ class _Determinants(Mapping):
 
 
 def frieze_from_quiddity(q: Sequence[int]) -> Frieze:
-    """The frieze of quiddity row ``q``, refused for its length, then a
-    non-positive entry, then the ceiling, then by :func:`_check_quiddity`."""
+    """The frieze of quiddity row ``q``, refused by :func:`_check_quiddity`,
+    then against the ceiling."""
     q = tuple(q)
+    _check_quiddity(q)
     m = len(q)
     if m * (m - 1) // 2 > MAX_FRIEZE_ENTRIES:
-        _check_prelude(q)
         raise ValueError(f"the frieze of a {m}-gon has {m * (m - 1) // 2} entries, "
                          f"over the limit of {MAX_FRIEZE_ENTRIES}")
-    _check_quiddity(q)
     return Frieze(m, q, _Determinants(_embed(q, 0)))
 
 

@@ -63,22 +63,18 @@ def quiddity_of(p: TriangulatedPolygon) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _check_prelude(q: Sequence[int]) -> None:
-    """Refuse a quiddity for its length, then for its first entry below 1."""
-    if len(q) < 3:
-        raise ValueError("quiddity needs length >= 3")
-    if min(q) < 1:
-        t = next(t for t, a in enumerate(q) if a < 1)
-        raise ValueError(f"quiddity entry {q[t]} at position {t} is not positive")
-
-
 def polygon_from_quiddity(q: Sequence[int]) -> TriangulatedPolygon:
     """Rebuild the unique triangulation with the given quiddity by cutting
     off ears (vertices of count 1) until a triangle remains.  A vertex joins
     the worklist of ears once, when its count reaches 1; a count falling
-    below 1 rejects the input at once, so every listed ear is still live."""
-    _check_prelude(q)
+    below 1 rejects the input at once, so every listed ear is still live.
+    The length is refused first, then the first entry below 1."""
     m = len(q)
+    if m < 3:
+        raise ValueError("quiddity needs length >= 3")
+    if min(q) < 1:
+        t = next(t for t, a in enumerate(q) if a < 1)
+        raise ValueError(f"quiddity entry {q[t]} at position {t} is not positive")
     # label-indexed, slot 0 unused
     values = [0, *q]
     nxt = [0, *range(2, m + 1), 1]

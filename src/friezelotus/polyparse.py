@@ -104,23 +104,16 @@ class _Parser:
         return self.src[self.pos] if self.pos < len(self.src) else ""
 
     def expr(self) -> Poly2:
-        sign = -1 if self._eat_sign() == "-" else 1
-        total = self.term()
-        if sign < 0:
-            total = -total
-        while self.peek() and self.peek() in "+-":
-            op = self.src[self.pos]
-            self.pos += 1
+        # a sum from 0: the sign before the first term is optional
+        total, op = Poly2({}), self.peek()
+        while True:
+            if op in ("+", "-"):
+                self.pos += 1
             nxt = self.term()
-            total = total + nxt if op == "+" else total - nxt
-        return total
-
-    def _eat_sign(self) -> str:
-        ch = self.peek()
-        if ch and ch in "+-":
-            self.pos += 1
-            return ch
-        return ""
+            total = total - nxt if op == "-" else total + nxt
+            op = self.peek()
+            if op not in ("+", "-"):
+                return total
 
     def term(self) -> Poly2:
         product = self.factor()
@@ -128,11 +121,9 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                product = product * self.factor()
-            elif ch and (ch.isdecimal() or ch in "xy("):
-                product = product * self.factor()
-            else:
+            elif not (ch and (ch.isdecimal() or ch in "xy(")):
                 return product
+            product = product * self.factor()
 
     def factor(self) -> Poly2:
         ch = self.peek()

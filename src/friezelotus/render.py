@@ -44,6 +44,9 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
     width, height = _fmt(max_x * scale), _fmt(max_y * scale)
     if "0" in (width, height):
         raise ValueError(f"at scale {scale:g} the drawing's width or height rounds to 0")
+    radius, font_size = _fmt(scale / 8), _fmt(scale / 3)
+    if (l.marks and radius == "0") or (options.label_weights and font_size == "0"):
+        raise ValueError(f"at scale {scale:g} a mark or weight label's size rounds to 0")
     if options.show_grid and max_x + max_y + 2 > MAX_GRID_LINES:
         raise ValueError(f"the lattice grid would need over {MAX_GRID_LINES} lines")
 
@@ -71,13 +74,13 @@ def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
                  f'stroke-width="3"/>')
     if options.label_weights:
         for p, count in zip(boundary[1:], petal_counts(boundary)):
-            lines.append(f'  <text x="{_fmt(p[0] * scale + 4)}" '
-                         f'y="{_fmt((max_y - p[1]) * scale - 4)}" '
-                         f'font-size="{_fmt(scale / 3)}">{-count}</text>')
+            lines.append(f'  <text x="{_fmt(p[0] * scale + scale / 10)}" '
+                         f'y="{_fmt((max_y - p[1]) * scale - scale / 10)}" '
+                         f'font-size="{font_size}">{-count}</text>')
     for p in sorted(l.marks):
         cx, cy = p[0] * scale, (max_y - p[1]) * scale
         lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                     f'r="{_fmt(scale / 8)}" fill="#000000"/>')
+                     f'r="{radius}" fill="#000000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

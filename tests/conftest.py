@@ -192,6 +192,11 @@ def quiddities(draw, max_m: int = 40):
     return tuple(q)
 
 
+def fan_quiddity(m: int) -> tuple[int, ...]:
+    """Quiddity of the fan of the m-gon, every diagonal at vertex 1."""
+    return (m - 2, 1, *(2,) * (m - 3), 1)
+
+
 def outcome(build, q):
     """``build(q)``, or the message of the ValueError it raises."""
     try:

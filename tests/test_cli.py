@@ -17,7 +17,7 @@ from friezelotus.lotus import lotus_of_slope, lotus_of_slopes, polygon_of_lotus
 from friezelotus.polygon import polygon_of_cf, quiddity_of
 from friezelotus.render import MAX_GRID_LINES, render_frieze_text
 
-from conftest import frieze_by_rows, outcome
+from conftest import fan_quiddity, frieze_by_rows, outcome
 
 
 def test_hj_running():
@@ -357,11 +357,11 @@ QUIDDITY_ROUTES = (["frieze"], ["embed"], ["lotus"], ["graph"], ["partials"],
                    ["mutate", "--diagonal", "1,3"])
 
 
-def assert_refused_alike(q, capsys):
+def assert_refused_alike(q, capsys, routes=QUIDDITY_ROUTES):
     """Every route refuses ``q`` with the one line of the quiddity gate."""
     message = outcome(_check_quiddity, q)
     assert isinstance(message, str)
-    for route in QUIDDITY_ROUTES:
+    for route in routes:
         assert run([*route, "--quiddity", ",".join(map(str, q))]) == (1, "")
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -383,6 +383,21 @@ def test_a_longer_refused_quiddity_reads_the_same_in_every_subcommand(capsys):
         if isinstance(outcome(_check_quiddity, q), str):
             assert_refused_alike(q, capsys)
             refused += 1
+
+
+def test_a_refused_quiddity_past_the_frieze_ceiling_reads_the_same(capsys):
+    # the gate comes before the entry ceiling, so a refusal reads alike at
+    # every size.  At each length, the quiddity of all ones, and the fan with
+    # one entry moved by 1: the move cycles through both signs at the hub,
+    # both ears, their neighbours and the middle (every move at every length
+    # would be some 5 M invocations)
+    routes = (["frieze"], ["render", "--format", "text"], ["embed"], ["lotus"], ["graph"],
+              ["partials"])
+    for m in range(3163, 3301):
+        t = (0, 1, 2, m // 2, m - 2, m - 1)[m % 12 // 2]
+        fan = fan_quiddity(m)
+        assert_refused_alike((1,) * m, capsys, routes)
+        assert_refused_alike(fan[:t] + (fan[t] + (-1, 1)[m % 2],) + fan[t + 1:], capsys, routes)
 
 
 def test_frieze_of_slopes_is_the_frieze_of_their_lotus_polygon():
@@ -501,8 +516,10 @@ def test_input_usage_is_the_recorded_layout(monkeypatch):
 
 
 def test_frieze_entry_ceiling(capsys):
+    fan = ",".join(map(str, fan_quiddity(3200)))
     for argv, m in ((["frieze", "--rational", "4001/4000"], 4003),
-                    (["frieze", "--quiddity", ",".join(["1"] * 3200)], 3200)):
+                    (["frieze", "--quiddity", fan], 3200),
+                    (["render", "--format", "text", "--quiddity", fan], 3200)):
         assert run(argv) == (1, "")
         assert capsys.readouterr().err == (
             f"error: the frieze of a {m}-gon has {m * (m - 1) // 2} entries, "
@@ -598,9 +615,27 @@ def test_svg_of_no_finite_size_is_refused(capsys):
         assert run(argv) == (1, "")
         assert capsys.readouterr().err == (
             f"error: at scale {shown} the drawing's width or height rounds to 0\n")
-    # the 3/2 drawing is 3 by 4 units: at 0.0002 its width shows as 0.001
-    code, out = run(["render", "--rational", "3/2", "--format", "svg", "--scale", "0.0002"])
-    assert code == 0 and 'width="0.001" height="0.001"' in out
+    # nor one with a mark or weight label of size 0.  The 3/2 drawing is 3 by
+    # 4 units: at 0.0002 its width shows as 0.001, but its marks as r="0"
+    for weights in ([], ["--weights"]):
+        argv = ["render", "--rational", "3/2", "--format", "svg", "--scale", "0.0002", *weights]
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: at scale 0.0002 a mark or weight label's size rounds to 0\n")
+    # the triangle's lotus has no marks: only its labels can be refused
+    triangle = ["render", "--quiddity", "1,1,1", "--format", "svg", "--scale", "0.0003"]
+    code, out = run(triangle)
+    assert code == 0 and 'width="0.001" height="0.001"' in out and "<circle" not in out
+    assert run([*triangle, "--weights"]) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: at scale 0.0003 a mark or weight label's size rounds to 0\n")
+    # a label sits scale / 10 right of and above its vertex, here (2, 3)
+    code, out = run(["render", "--rational", "3/2", "--format", "svg", "--scale", "0.04",
+                     "--weights"])
+    assert code == 0 and '<circle cx="0.08" cy="0.04" r="0.005" fill="#000000"/>' in out
+    assert '<text x="0.084" y="0.036" font-size="0.013">-1</text>' in out
+    code, out = run(["render", "--rational", "3/2", "--format", "svg", "--scale", "0.004"])
+    assert code == 0 and 'r="0.001"' in out
 
 
 def test_svg_grid_is_held_to_a_line_ceiling(capsys, monkeypatch):

@@ -10,8 +10,8 @@ from friezelotus.frieze import MAX_FRIEZE_ENTRIES, _check_quiddity, frieze_from_
 from friezelotus.lotus import embed_polygon, lotus_of_slope, polygon_of_lotus
 from friezelotus.polygon import polygon_from_quiddity, polygon_of_cf, quiddity_of
 
-from conftest import (coprime_pairs, enumerate_triangulations, frieze_by_rows, outcome,
-                      quiddities, random_triangulation)
+from conftest import (coprime_pairs, enumerate_triangulations, fan_quiddity, frieze_by_rows,
+                      outcome, quiddities, random_triangulation)
 
 RUNNING_QUIDDITY = (1, 2, 2, 3, 2, 1, 3, 4)
 
@@ -69,8 +69,13 @@ def test_rejects_non_quiddity_with_diamond_diagnostic():
         frieze_from_quiddity((1, 1))
     with pytest.raises(ValueError, match="diamond"):
         frieze_from_quiddity((1,) * 3162)  # 4 997 541 entries, under the ceiling
+    # past the ceiling the gate still refuses first, with the ear cut's text,
+    # and only a valid quiddity, such as the fan, meets the ceiling
     with pytest.raises(ValueError) as info:
         frieze_from_quiddity((1,) * 3163)
+    assert str(info.value) == "not the quiddity of a triangulated polygon"
+    with pytest.raises(ValueError) as info:
+        frieze_from_quiddity(fan_quiddity(3163))
     assert str(info.value) == ("the frieze of a 3163-gon has 5000703 entries, "
                                f"over the limit of {MAX_FRIEZE_ENTRIES}")
 
@@ -286,12 +291,14 @@ def test_refusals_are_the_row_scan_refusals():
 
 
 def test_refusals_before_any_row_keep_their_order():
-    # length, then positivity, then the ceiling on entries; the ear cut and
-    # the embedding, which build no frieze, refuse the first two alike
+    # length, then positivity, then the ear cut, and the ceiling on entries
+    # only for a quiddity that passes them; the ear cut and the embedding,
+    # which build no frieze, refuse the first three alike
     for q, message in (((0, 0), "quiddity needs length >= 3"),
                        ((0,) * 3163, "quiddity entry 0 at position 0 is not positive"),
-                       ((1,) * 3162 + (0,), "quiddity entry 0 at position 3162 is not positive")):
+                       ((1,) * 3162 + (0,), "quiddity entry 0 at position 3162 is not positive"),
+                       ((1,) * 3163, "not the quiddity of a triangulated polygon")):
         for build in (frieze_from_quiddity, polygon_from_quiddity, lambda q: embed_polygon(q, 0)):
             assert outcome(build, q) == message
-    assert outcome(frieze_from_quiddity, (1,) * 3163) == (
+    assert outcome(frieze_from_quiddity, fan_quiddity(3163)) == (
         f"the frieze of a 3163-gon has 5000703 entries, over the limit of {MAX_FRIEZE_ENTRIES}")

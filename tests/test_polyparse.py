@@ -29,6 +29,17 @@ def test_parse_implicit_star_and_coefficients():
     assert parse_poly("-x + 5").terms == {(1, 0): -1, (0, 0): 5}
 
 
+def test_a_leading_sign_and_juxtaposed_factors():
+    assert parse_poly("+x").terms == {(1, 0): 1}
+    assert parse_poly("2 3").terms == {(0, 0): 6}
+    assert parse_poly("-(x^3-y^2)").terms == {(0, 2): 1, (3, 0): -1}
+    # one sign per term, and a '*' needs a factor after it
+    for text, pos in (("--x", 1), ("-", 1), ("x*", 2), ("x**y", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == f"expected a number, 'x', 'y' or '(' at position {pos}"
+
+
 def test_like_terms_combine_and_cancel():
     assert parse_poly("x + x").terms == {(1, 0): 2}
     assert parse_poly("x - x").terms == {}
