@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from functools import cached_property
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
 from .frieze import Point, _check_quiddity, _embed
@@ -72,10 +73,9 @@ class Lotus(namedtuple("Lotus", "petals marks")):
 
     The empty petal set models the degenerate lotus that is just the base
     segment (arising from the slopes 0 and infinity alone).  ``Lotus(...)``
-    checks its input; this package's own functions use ``_lotus``.
+    checks its input; this package's own functions use ``_lotus``.  It has
+    no ``__slots__``, so that its dict can keep its lateral boundary.
     """
-
-    __slots__ = ()
 
     def __new__(cls, petals: frozenset[Petal], marks: frozenset[Point] = frozenset()):
         for p in petals:
@@ -93,6 +93,19 @@ class Lotus(namedtuple("Lotus", "petals marks")):
     @property
     def is_segment(self) -> bool:
         return not self.petals
+
+    @cached_property
+    def _boundary(self) -> tuple[Point, ...]:
+        """The walk of ``lateral_boundary``, on (u, v) pairs: they hash as petals."""
+        chain, stack = [E1], [(E1, E2)]
+        while stack:
+            u, v = pair = stack.pop()
+            if pair in self.petals:
+                apex = (u[0] + v[0], u[1] + v[1])
+                stack += ((apex, v), (u, apex))
+            else:
+                chain.append(v)
+        return tuple(chain)
 
 
 def _lotus(petals: frozenset[Petal], marks: frozenset[Point] = frozenset()) -> Lotus:
@@ -153,16 +166,8 @@ def lateral_boundary(l: Lotus) -> tuple[Point, ...]:
     """Boundary vertices from (1,0) to (0,1), by an in-order walk of the
     petal tree: each petal of the lotus gives way to its two children, and
     each child outside the lotus is a boundary edge adding its far end.
-    The walk holds plain (u, v) pairs, which hash and compare as petals."""
-    chain, stack = [E1], [(E1, E2)]
-    while stack:
-        u, v = pair = stack.pop()
-        if pair in l.petals:
-            apex = (u[0] + v[0], u[1] + v[1])
-            stack += ((apex, v), (u, apex))
-        else:
-            chain.append(v)
-    return tuple(chain)
+    The walk is made once per lotus value and kept on it."""
+    return l._boundary
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,11 @@ class ResolutionGraph(namedtuple("ResolutionGraph", "weights arrows")):
         return super().__new__(cls, weights, arrows)
 
 
+def _graph(weights: tuple[int, ...], arrows: frozenset[int] = frozenset()) -> ResolutionGraph:
+    """A chain graph known to be valid, built without the checks."""
+    return tuple.__new__(ResolutionGraph, (weights, arrows))
+
+
 class PlaneCurve(namedtuple("PlaneCurve", "factors")):
     """Product of distinct-slope binomials x^d - y^c, gcd(d, c) = 1."""
 
@@ -77,7 +82,7 @@ def graph_of_lotus(l: Lotus) -> ResolutionGraph:
     chain = lateral_boundary(l)
     weights = tuple(-c for c in petal_counts(chain))
     arrows = frozenset(t for t, pt in enumerate(chain[1:-1]) if pt in l.marks)
-    return ResolutionGraph(weights, arrows)
+    return _graph(weights, arrows)
 
 
 def curve_of_lotus(l: Lotus) -> PlaneCurve:
@@ -185,7 +190,8 @@ def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
     by decreasing petal count and with no marks.
 
     A stage grows from a smaller one by blowing up boundary edges (u, v)
-    whose petal is in ``l``, left to right, so each stage is made once.
+    whose petal is in ``l``, left to right, so each stage is made once,
+    with its weights: a blow-up adds a -1 at u + v and lowers u and v by 1.
     Stages of over MAX_FRIEZE_ENTRIES weights in all are refused first.
     """
     if l.is_segment:
@@ -207,16 +213,17 @@ def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
     if sizes[BASE_PETAL][1] > MAX_FRIEZE_ENTRIES:
         raise ValueError(f"the partial resolutions would have over "
                          f"{MAX_FRIEZE_ENTRIES} weights in all")
+    # weights run along the whole chain; those of (1,0) and (0,1) are never read
     out = []
-    work = [(frozenset(), [E1, E2], 0)]
+    work = [(frozenset(), [E1, E2], (0, 0), 0)]
     while work:
-        petals, chain, start = work.pop()
+        petals, chain, weights, start = work.pop()
         if petals:
-            weights = tuple(-c for c in petal_counts(chain))
-            out.append((_lotus(petals), ResolutionGraph(weights)))
+            out.append((_lotus(petals), _graph(weights[1:-1])))
         for k in range(start, len(chain) - 1):
             p = _petal(chain[k], chain[k + 1])
             if p in l.petals:
-                work.append((petals | {p}, chain[:k + 1] + [p.apex] + chain[k + 1:], k))
+                grown = weights[:k] + (weights[k] - 1, -1, weights[k + 1] - 1) + weights[k + 2:]
+                work.append((petals | {p}, chain[:k + 1] + [p.apex] + chain[k + 1:], grown, k))
     out.sort(key=lambda pair: (-len(pair[0].petals), pair[1].weights))
     return out

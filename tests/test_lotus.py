@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from itertools import product
@@ -6,7 +8,7 @@ from math import gcd
 import pytest
 
 from friezelotus.contfrac import Rational, hj_expand, kidoh_dual
-from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal,
+from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal, _lotus,
                                embed_polygon,
                                lateral_boundary, lotus_of_polygon,
                                lotus_of_slope, lotus_of_slopes,
@@ -273,6 +275,22 @@ def test_label_rule_matches_the_lattice_search():
 def test_marks_must_lie_on_boundary():
     with pytest.raises(ValueError):
         Lotus(frozenset({BASE_PETAL}), frozenset({(5, 5)}))
+
+
+def test_the_boundary_is_walked_once_and_kept():
+    l = lotus_of_slopes([Rational(11, 8), Rational(2, 5), Rational(7, 3)])
+    boundary = lateral_boundary(l)
+    assert lateral_boundary(l) is boundary
+    # the kept boundary is invisible to equality, hashing, repr and copies
+    fresh = _lotus(l.petals, l.marks)
+    assert l == fresh and hash(l) == hash(fresh) and repr(l) == repr(fresh)
+    for twin in (copy.copy(l), pickle.loads(pickle.dumps(l))):
+        assert twin == l and type(twin) is Lotus and lateral_boundary(twin) == boundary
+    # a lotus made by _replace walks its own boundary
+    smaller = l._replace(petals=lotus_of_slope(Rational(11, 8)).petals, marks=frozenset())
+    assert lateral_boundary(smaller) == lateral_boundary(lotus_of_slope(Rational(11, 8)))
+    with pytest.raises(ValueError, match=r"^mark \(5, 5\) is not on the lateral boundary$"):
+        Lotus(l.petals, frozenset({(5, 5)}))
 
 
 def descent(n, q):

@@ -1,7 +1,12 @@
+import importlib
+import inspect
+import pkgutil
+import typing
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import friezelotus
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
 from friezelotus.lotus import BASE_PETAL, Lotus, lotus_of_slope
@@ -140,3 +145,23 @@ def test_dot_running_graph():
 def test_dot_deterministic():
     g = graph_of_lotus(lotus_of_slope(Rational(11, 8)))
     assert render_graph_dot(g) == render_graph_dot(g)
+
+
+def test_every_annotation_names_something_its_module_has():
+    # annotations stay strings until read, so a name a module never
+    # imported shows only here: each function, class and method is resolved
+    for info in pkgutil.iter_modules(friezelotus.__path__):
+        if info.name == "__main__":  # importing it runs the command
+            continue
+        module = importlib.import_module(f"friezelotus.{info.name}")
+        for obj in vars(module).values():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    or obj.__module__ != module.__name__:
+                continue
+            typing.get_type_hints(obj)
+            for member in vars(obj).values() if inspect.isclass(obj) else ():
+                # staticmethod, property and cached_property wrap a function
+                for attr in ("__func__", "fget", "func"):
+                    member = getattr(member, attr, member)
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)

@@ -11,7 +11,7 @@ import friezelotus.resolution as resolution_module
 from friezelotus.contfrac import Rational
 from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, lateral_boundary,
                                lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
-                               pinching_points, polygon_of_lotus)
+                               petal_counts, pinching_points, polygon_of_lotus)
 from friezelotus.frieze import frieze_from_quiddity
 from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import compact_edges, parse_poly
@@ -375,6 +375,28 @@ def test_partials_match_the_parent_map_enumeration():
     assert [len(sub.petals) for sub, _ in pairs] == list(range(1001, 0, -1))
     for sub, g in pairs[::50]:
         assert sub.petals <= l.petals and g == graph_of_lotus(Lotus(sub.petals))
+
+
+def test_partials_grow_weights_by_blowing_up(monkeypatch):
+    # no stage reads its weights off its boundary or re-checks them
+    def refused(*args):
+        raise AssertionError("partial_resolutions re-derived a stage")
+
+    product = lotus_of_slopes([Rational(11, 8), Rational(2, 5), Rational(7, 3)])
+    stages = len(partials_by_parent_map(product))
+    monkeypatch.setattr(resolution_module, "petal_counts", refused)
+    monkeypatch.setattr(ResolutionGraph, "__new__", refused)
+    assert len(partial_resolutions(lotus_of_slope(Rational(1001, 1000)))) == 1001
+    assert len(partial_resolutions(product)) == stages == 84
+
+
+def test_blown_up_weights_are_the_boundary_weights():
+    # every stage, not a sample: the weights grown by blow-ups are the ones
+    # read off the stage's own boundary
+    lotuses = random_products(40, 12, seed=16) + [lotus_of_slope(Rational(1001, 1000))]
+    for l in lotuses:
+        for sub, g in partial_resolutions(l):
+            assert g.weights == tuple(-c for c in petal_counts(lateral_boundary(sub)))
 
 
 def test_weight_sum_counts_incidences():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
-from friezelotus.lotus import (Lotus, Petal, lotus_of_polygon, lotus_of_slope, lotus_of_slopes,
-                               polygon_of_lotus)
+from friezelotus.lotus import (Lotus, Petal, _lotus, lotus_of_polygon, lotus_of_slope,
+                               lotus_of_slopes, polygon_of_lotus)
 from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import (curve_of_lotus, graph_of_lotus, lotus_of_poly,
@@ -266,6 +266,14 @@ def test_mutation_matches_the_oracle_on_fibonacci_ratios(k, inverted, picks):
     l = lotus_of_slope(fibonacci_ratio(k, inverted))
     diagonals = sorted(polygon_of_lotus(l)[0].diagonals)
     assert_mutations_match_the_oracle(l, [diagonals[x % len(diagonals)] for x in picks])
+
+
+def test_mutation_reads_the_kept_boundary_as_a_fresh_walk():
+    # one lotus mutated at every diagonal reads the boundary it walked first
+    for slopes in ([Rational(11, 8), Rational(2, 5)], [fibonacci_ratio(30, False)]):
+        l = lotus_of_slopes(slopes)
+        for d in sorted(polygon_of_lotus(l)[0].diagonals):
+            assert mutate_lotus(l, d) == mutate_lotus(_lotus(l.petals, l.marks), d)
 
 
 def test_mutation_refusals_keep_their_text():
