@@ -97,10 +97,10 @@ class Lotus(namedtuple("Lotus", "petals marks")):
     @cached_property
     def _boundary(self) -> tuple[Point, ...]:
         """The walk of ``lateral_boundary``, on (u, v) pairs: they hash as petals."""
-        chain, stack = [E1], [(E1, E2)]
+        petals, chain, stack = self.petals, [E1], [(E1, E2)]
         while stack:
             u, v = pair = stack.pop()
-            if pair in self.petals:
+            if pair in petals:
                 apex = (u[0] + v[0], u[1] + v[1])
                 stack += ((apex, v), (u, apex))
             else:
@@ -190,13 +190,17 @@ def embed_polygon(q: Sequence[int], k: int) -> list[Point]:
     return _embed(q, k)
 
 
-def _chord_petal(verts: Sequence[Point], chord: Diagonal, k: int = 0) -> Petal:
-    """The petal on a chord, read off its labels rotated by ``k``: the chord
-    lo < hi is the base of the one triangle whose apex lies between them,
-    and that triangle's petal is (vertex hi, vertex lo).  This is the one
-    place where a petal's orientation is decided."""
-    lo, hi = sorted((t - 1 - k) % len(verts) for t in chord)
-    return _petal(verts[hi], verts[lo])
+def _chord_petals(verts: Sequence[Point], chords: Iterable[Diagonal], k: int = 0) -> list[Petal]:
+    """The petal on each chord, read off its labels rotated by ``k``: the
+    chord lo < hi is the base of the one triangle whose apex lies between
+    them, and that triangle's petal is (vertex hi, vertex lo).  This is the
+    one place where a petal's orientation is decided."""
+    m, k = len(verts), k + 1
+    petals = []
+    for i, j in chords:
+        a, b = (i - k) % m, (j - k) % m
+        petals.append(_petal(verts[b], verts[a]) if a < b else _petal(verts[a], verts[b]))
+    return petals
 
 
 def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:
@@ -204,17 +208,17 @@ def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:
     to (0,1) (see embed_polygon).  The embedding lists the vertices from
     polygon vertex k+1, so labels rotate by k: the base petal sits on the
     chord that the rotation puts at [1, m], and each diagonal carries one
-    more petal."""
+    more petal, all read by ``_chord_petals``."""
     verts = _embed(quiddity_of(p), k)
-    return _lotus(frozenset([BASE_PETAL, *(_chord_petal(verts, d, k) for d in p.diagonals)]))
+    return _lotus(frozenset([BASE_PETAL, *_chord_petals(verts, p.diagonals, k)]))
 
 
-def _polygon_vertices(l: Lotus) -> tuple[Point, ...]:
-    """Lattice points of the lotus polygon's vertices 1..m: the lateral
-    boundary read from (0,1) to (1,0).  The segment lotus has none."""
+def _polygon_boundary(l: Lotus) -> tuple[Point, ...]:
+    """The lateral boundary of a lotus polygon, whose vertex t is its t-th
+    point from the end, at index -t.  The segment lotus has none."""
     if l.is_segment:
         raise ValueError("the segment lotus has no polygon")
-    return lateral_boundary(l)[::-1]
+    return lateral_boundary(l)
 
 
 def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
@@ -225,7 +229,7 @@ def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
     lateral boundary.  Re-embedding its quiddity with k = 0 reproduces the
     petal set (vertex 1 back at (0,1)).
     """
-    verts = _polygon_vertices(l)
+    verts = _polygon_boundary(l)[::-1]
     index = {pt: t + 1 for t, pt in enumerate(verts)}
     # the base edge of every petal but the root is shared with its parent;
     # the boundary passes u before v, so v has the smaller label

@@ -65,35 +65,43 @@ def quiddity_of(p: TriangulatedPolygon) -> tuple[int, ...]:
 
 def polygon_from_quiddity(q: Sequence[int]) -> TriangulatedPolygon:
     """Rebuild the unique triangulation with the given quiddity by cutting
-    off ears (vertices of count 1) until a triangle remains.  A vertex joins
-    the worklist of ears once, when its count reaches 1; a count falling
-    below 1 rejects the input at once, so every listed ear is still live.
-    The length is refused first, then the first entry below 1."""
+    off ears (vertices of count 1) until a triangle remains.  One sweep over
+    the labels keeps the uncut vertices on a stack; the ears it leaves are
+    cut from both ends of the stack, round the base edge [1, m].  A count
+    falling below 1 rejects the input at once.  The length is refused
+    first, then the first entry below 1."""
     m = len(q)
     if m < 3:
         raise ValueError("quiddity needs length >= 3")
     if min(q) < 1:
         t = next(t for t, a in enumerate(q) if a < 1)
         raise ValueError(f"quiddity entry {q[t]} at position {t} is not positive")
-    # label-indexed, slot 0 unused
-    values = [0, *q]
-    nxt = [0, *range(2, m + 1), 1]
-    prv = [0, m, *range(1, m)]
-    ears = [v for v in range(1, m + 1) if values[v] == 1]
-    diagonals: set[Diagonal] = set()
-    for _ in range(m - 3):
-        if not ears:
-            raise ValueError("not the quiddity of a triangulated polygon (no ear)")
-        ear = ears.pop()
-        a, b = prv[ear], nxt[ear]
-        diagonals.add((min(a, b), max(a, b)))
-        for v in (a, b):
-            values[v] -= 1
-            if values[v] < 1:
+    counts, stack, diagonals = [0, *q], [1], []  # counts by label, slot 0 unused
+    for v in range(2, m + 1):
+        # an ear on top lies between the vertex under it and v; the last v may not close [1, m]
+        while counts[stack[-1]] == 1 and len(stack) > (1 if v < m else 2):
+            stack.pop()
+            a = stack[-1]
+            diagonals.append((a, v))
+            counts[a] -= 1
+            counts[v] -= 1
+            if counts[a] < 1 or counts[v] < 1:
                 raise ValueError("not the quiddity of a triangulated polygon")
-            if values[v] == 1:
-                ears.append(v)
-        nxt[a], prv[b] = b, a
+        stack.append(v)
+    lo, hi = 0, len(stack) - 1
+    while hi - lo > 2:
+        if counts[stack[hi]] == 1:
+            hi -= 1
+        elif counts[stack[lo]] == 1:
+            lo += 1
+        else:
+            raise ValueError("not the quiddity of a triangulated polygon (no ear)")
+        a, b = stack[lo], stack[hi]
+        diagonals.append((a, b))
+        counts[a] -= 1
+        counts[b] -= 1
+        if counts[a] < 1 or counts[b] < 1:
+            raise ValueError("not the quiddity of a triangulated polygon")
     # counts stay >= 1 and each cut lowers their total by 3, so the last
     # three are all 1 exactly when the total was 3(m - 2)
     if sum(q) != 3 * (m - 2):

@@ -8,7 +8,7 @@ inside the full frieze.
 
 Mutation flips a diagonal, rewriting the lotus only where the flip
 happens.  Its data are never searched for in the lattice: a chord's labels
-fix the petal on it (see ``lotus._chord_petal``), and that petal and its
+fix the petal on it (see ``lotus._chord_petals``), and that petal and its
 parent fix the quadrilateral, its type and its base side.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lotus import (BASE_PETAL, Lotus, Petal, _chord_petal, _lotus, _petal, _polygon_vertices,
+from .lotus import (BASE_PETAL, Lotus, Petal, _chord_petals, _lotus, _petal, _polygon_boundary,
                     polygon_of_lotus)
 from .polygon import Diagonal, TriangulatedPolygon, _polygon, quiddity_of
 
@@ -75,9 +75,12 @@ def reduction_chain(l: Lotus) -> list[ReductionResult]:
 def _quadrilateral(l: Lotus, d: Diagonal) -> tuple[Petal, Petal]:
     """The petal p on diagonal ``d`` (labels of the lotus polygon) and its
     parent q, whose triangle and p's apex make the quadrilateral of d.  A
-    chord is a diagonal when its petal is in the lotus but is not the base."""
-    verts, (i, j) = _polygon_vertices(l), sorted(d)
-    p = _chord_petal(verts, (i, j)) if 1 <= i and j <= len(verts) else BASE_PETAL
+    chord is a diagonal when its petal is in the lotus but is not the base.
+    Its two points are read from the end of the kept boundary, in label
+    order, and ``_chord_petals`` orients them."""
+    chain, (i, j), p = _polygon_boundary(l), sorted(d), BASE_PETAL
+    if 1 <= i and j <= len(chain):
+        p, = _chord_petals((chain[-i], chain[-j]), [(1, 2)])
     if p == BASE_PETAL or p not in l.petals:
         raise ValueError(f"{(i, j)} is not a diagonal of the triangulation")
     return p, p.parent()

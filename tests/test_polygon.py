@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -278,6 +279,38 @@ def test_worklist_ear_cut_matches_smallest_label_exhaustive():
 @given(quiddities())
 def test_worklist_ear_cut_matches_smallest_label(q):
     assert_same_as_smallest_label_ear_cut(q)
+
+
+def test_stack_sweep_matches_smallest_label_on_rotations_and_single_changes():
+    # each rotation leaves other ears to be cut round the base edge [1, m],
+    # from either end of the stack; changing one entry by 1, of it or of it
+    # with every ear raised to 2, brings both refusal texts of the cut
+    cases = set()
+    for m in range(3, 9):
+        for t in enumerate_triangulations(m):
+            q = quiddity_of(t)
+            for r in range(m):
+                for base in (q[r:] + q[:r], tuple(a + (a == 1) for a in q[r:] + q[:r])):
+                    cases.add(base)
+                    cases.update(base[:s] + (base[s] + delta,) + base[s + 1:]
+                                 for s in range(m) for delta in (-1, 1))
+    texts = set()
+    for q in cases:
+        assert_same_as_smallest_label_ear_cut(q)
+        texts.add(outcome(polygon_from_quiddity, q))
+    assert {"not the quiddity of a triangulated polygon",
+            "not the quiddity of a triangulated polygon (no ear)"} <= texts
+
+
+def test_ear_cut_is_linear_on_every_input():
+    # every ear of these is cut at one end of the stack, round the base
+    # edge; a list operation of O(m) per cut would take minutes here
+    m = 400_000
+    start = time.perf_counter()
+    for q in ((1,) + (2,) * (m - 2) + (m - 3,), (m - 3,) + (2,) * (m - 2) + (1,)):
+        with pytest.raises(ValueError, match="^not the quiddity of a triangulated polygon$"):
+            polygon_from_quiddity(q)
+    assert time.perf_counter() - start < 5
 
 
 @given(st.integers(3, 40), st.randoms(use_true_random=False))

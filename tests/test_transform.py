@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
-from friezelotus.lotus import (Lotus, Petal, _lotus, lotus_of_polygon, lotus_of_slope,
-                               lotus_of_slopes, polygon_of_lotus)
+from friezelotus.lotus import (Lotus, Petal, _lotus, lateral_boundary, lotus_of_polygon,
+                               lotus_of_slope, lotus_of_slopes, polygon_of_lotus)
 from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import (curve_of_lotus, graph_of_lotus, lotus_of_poly,
@@ -396,3 +396,28 @@ def test_label_rules_match_the_lattice_definitions():
         for d in sorted(t.diagonals):
             assert quad_type(l, d) == quad_type_by_lattice(l, d)
             assert base_side_petals(l, d) == base_side_petals_by_regions(l, d)
+
+
+class UnreversedBoundary(tuple):
+    """A kept lateral boundary that refuses to be read backwards whole."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and (key.step or 1) < 0:
+            raise AssertionError("the whole lateral boundary was reversed")
+        return tuple.__getitem__(self, key)
+
+
+def test_a_chord_is_read_without_reversing_the_boundary():
+    # the two points of a chord are read by index from the end of the kept
+    # boundary, so a quadrilateral costs O(1) once the boundary is walked
+    t = random_triangulation(40, random.Random(25))
+    l = lotus_of_polygon(t, 0)
+    diagonals = sorted(t.diagonals)
+    expected = [(quad_type_by_lattice(l, d), mutate_by_reembedding(l, d),
+                 base_side_petals_by_regions(l, d)) for d in diagonals]
+    guarded = _lotus(l.petals)
+    guarded._boundary = UnreversedBoundary(lateral_boundary(guarded))
+    for d, (kind, mutated, base_side) in zip(diagonals, expected):
+        assert quad_type(guarded, d) == kind
+        assert mutate_lotus(guarded, d) == mutated
+        assert base_side_petals(guarded, d) == base_side
