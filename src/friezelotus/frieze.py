@@ -116,13 +116,13 @@ def _embed(q: tuple[int, ...], k: int) -> list[Point]:
     """Vertices of the polygon of the valid quiddity ``q`` embedded from
     v1 = (0,1), v2 = (1, q[k]) by v_{l+1} = mu * v_l - v_{l-1}, with mu the
     quiddity at v_l (see ``lotus.embed_polygon``)."""
-    m = len(q)
-    verts: list[Point] = [(0, 1), (1, q[k % m])]
-    for step in range(1, m - 1):
-        mu = q[(k + step) % m]
-        vl, vp = verts[-1], verts[-2]
-        verts.append((mu * vl[0] - vp[0], mu * vl[1] - vp[1]))
-    assert verts[-1] == (1, 0), "embedding must close at (1,0)"
+    m, k = len(q), k % len(q)
+    vp, vl = (0, 1), (1, q[k])
+    verts: list[Point] = [vp, vl]
+    for mu in (q[k + 1:] + q[:k])[:m - 2]:
+        vp, vl = vl, (mu * vl[0] - vp[0], mu * vl[1] - vp[1])
+        verts.append(vl)
+    assert vl == (1, 0), "embedding must close at (1,0)"
     return verts
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
 from .frieze import Point, _check_quiddity, _embed
-from .polygon import Diagonal, TriangulatedPolygon, _polygon, quiddity_of
+from .polygon import TriangulatedPolygon, _polygon, _run_tree, quiddity_of
 
 E1: Point = (1, 0)
 E2: Point = (0, 1)
@@ -74,7 +74,7 @@ class Lotus(namedtuple("Lotus", "petals marks")):
     The empty petal set models the degenerate lotus that is just the base
     segment (arising from the slopes 0 and infinity alone).  ``Lotus(...)``
     checks its input; this package's own functions use ``_lotus``.  It has
-    no ``__slots__``, so that its dict can keep its lateral boundary.
+    no ``__slots__``, so that its dict can keep its boundary and its index.
     """
 
     def __new__(cls, petals: frozenset[Petal], marks: frozenset[Point] = frozenset()):
@@ -107,6 +107,35 @@ class Lotus(namedtuple("Lotus", "petals marks")):
                 chain.append(v)
         return tuple(chain)
 
+    @cached_property
+    def _index(self) -> _Index:
+        """The boundary index read off the kept walk.  An apex's coordinate
+        sum exceeds those of its base points and is below all between them,
+        so one stack pass over the sums (a Cartesian tree) finds them all."""
+        chain = self._boundary
+        n = len(chain) - 1
+        sums = [x + y for x, y in chain]
+        lo, hi, low, high = [-1] * (n + 1), [-1] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+        stack = [0]
+        for t in range(1, n + 1):
+            s, last = sums[t], 0
+            while sums[stack[-1]] > s:
+                last = stack.pop()
+                hi[last] = t
+            if t < n:
+                low[t], lo[t] = last, stack[-1]
+                high[stack[-1]] = t
+                stack.append(t)
+        high[0] = 0
+        petals = [None, *(_petal(chain[a], chain[b]) for a, b in zip(lo[1:n], hi[1:n])), None]
+        return _Index(petals, lo, hi, low, high)
+
+
+# The boundary index, by boundary position t (0 is (1,0)): the petal with
+# apex at t, its base positions lo[t] < t < hi[t] and its children's apex
+# positions, low then high, 0 for none (the ends hold None, -1, -1, 0, 0).
+_Index = namedtuple("_Index", "petals lo hi low high")
+
 
 def _lotus(petals: frozenset[Petal], marks: frozenset[Point] = frozenset()) -> Lotus:
     """A lotus known to be valid, built without the checks."""
@@ -122,30 +151,29 @@ def lotus_of_slopes(slopes: Iterable[Rational]) -> Lotus:
     """Union of the petal chains meeting the rays of the slopes, each marked
     at its tip; the union, too, is held to MAX_VERTICES.
 
-    Each slope walks its Stern-Brocot path down the petal tree into the
-    child whose cone holds the ray: the upper one (apex becomes u) on even
-    runs, the lower one (apex becomes v) on odd runs, up to the petal whose
-    apex is the slope's primitive vector.  Slopes 0 and inf add only a mark.
+    The slopes' Stern-Brocot paths make one tree (``polygon._run_tree``)
+    that places every apex on the boundary; the points follow in tree
+    order, each apex the sum of its base points, and the lotus is born
+    with its boundary and its index.  Slopes 0 and inf add only a mark.
     """
-    petals: set[Petal] = set()
     marks: set[Point] = set()
-    for s in slopes:
-        if s.is_zero or s.is_infinite:
-            marks.add(E1 if s.is_zero else E2)
-            continue
-        runs = stern_brocot_runs(s)
-        runs[-1] -= 1  # the base petal is the first step
-        u, v = E1, E2
-        petals.add(BASE_PETAL)
-        for t, run in enumerate(runs):
-            for _ in range(run):
-                apex = (u[0] + v[0], u[1] + v[1])
-                u, v = (u, apex) if t % 2 else (apex, v)
-                petals.add(_petal(u, v))
-        marks.add((u[0] + v[0], u[1] + v[1]))
-        if len(petals) + 2 > MAX_VERTICES:
-            raise ValueError(f"the slopes give a polygon of over {MAX_VERTICES} vertices")
-    return _lotus(frozenset(petals), frozenset(marks))
+
+    def paths():
+        for s in slopes:
+            if s.is_zero or s.is_infinite:
+                marks.add(E1 if s.is_zero else E2)
+            else:
+                yield stern_brocot_runs(s)
+
+    lo, hi, low, high, tips, order = _run_tree(paths(), MAX_VERTICES)
+    chain, petals = [E1] * (len(lo) - 1) + [E2], [None] * len(lo)
+    for t in order:
+        u, v = chain[lo[t]], chain[hi[t]]
+        chain[t] = (u[0] + v[0], u[1] + v[1])
+        petals[t] = _petal(u, v)
+    l = _lotus(frozenset(petals[1:-1]), frozenset(marks.union(chain[t] for t in tips)))
+    l._boundary, l._index = tuple(chain), _Index(petals, lo, hi, low, high)
+    return l
 
 
 def pinching_points(l: Lotus) -> tuple[Point, ...]:
@@ -190,27 +218,20 @@ def embed_polygon(q: Sequence[int], k: int) -> list[Point]:
     return _embed(q, k)
 
 
-def _chord_petals(verts: Sequence[Point], chords: Iterable[Diagonal], k: int = 0) -> list[Petal]:
-    """The petal on each chord, read off its labels rotated by ``k``: the
-    chord lo < hi is the base of the one triangle whose apex lies between
-    them, and that triangle's petal is (vertex hi, vertex lo).  This is the
-    one place where a petal's orientation is decided."""
-    m, k = len(verts), k + 1
-    petals = []
-    for i, j in chords:
-        a, b = (i - k) % m, (j - k) % m
-        petals.append(_petal(verts[b], verts[a]) if a < b else _petal(verts[a], verts[b]))
-    return petals
-
-
 def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:
     """Unmarked lotus of the embedded triangulation: polygon vertex k+1 goes
     to (0,1) (see embed_polygon).  The embedding lists the vertices from
     polygon vertex k+1, so labels rotate by k: the base petal sits on the
     chord that the rotation puts at [1, m], and each diagonal carries one
-    more petal, all read by ``_chord_petals``."""
+    more petal.  The chord lo < hi, rotated, is the base of the one
+    triangle whose apex lies between them, and that triangle's petal is
+    (vertex hi, vertex lo)."""
     verts = _embed(quiddity_of(p), k)
-    return _lotus(frozenset([BASE_PETAL, *_chord_petals(verts, p.diagonals, k)]))
+    m, petals = len(verts), [BASE_PETAL]
+    for i, j in p.diagonals:
+        a, b = (i - k - 1) % m, (j - k - 1) % m
+        petals.append(_petal(verts[b], verts[a]) if a < b else _petal(verts[a], verts[b]))
+    return _lotus(frozenset(petals))
 
 
 def _polygon_boundary(l: Lotus) -> tuple[Point, ...]:
@@ -229,9 +250,8 @@ def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
     lateral boundary.  Re-embedding its quiddity with k = 0 reproduces the
     petal set (vertex 1 back at (0,1)).
     """
-    verts = _polygon_boundary(l)[::-1]
-    index = {pt: t + 1 for t, pt in enumerate(verts)}
-    # the base edge of every petal but the root is shared with its parent;
-    # the boundary passes u before v, so v has the smaller label
-    diagonals = frozenset((index[p.v], index[p.u]) for p in l.petals if p != BASE_PETAL)
-    return _polygon(len(verts), diagonals), verts
+    chain, ix = _polygon_boundary(l), l._index
+    m = len(chain)
+    # vertex t is at position m - t; each petal but the base one is on a diagonal
+    diagonals = frozenset((m - b, m - a) for a, b in zip(ix.lo[1:-1], ix.hi[1:-1]) if b - a < m - 1)
+    return _polygon(m, diagonals), chain[::-1]

@@ -9,9 +9,9 @@ index t holding the count at vertex t+1.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from .contfrac import hj_evaluate, kidoh_dual
+from .contfrac import MAX_VERTICES, hj_evaluate, kidoh_dual
 
 Diagonal = tuple[int, int]
 
@@ -109,13 +109,73 @@ def polygon_from_quiddity(q: Sequence[int]) -> TriangulatedPolygon:
     return _polygon(m, frozenset(diagonals))
 
 
+def _run_tree(paths: Iterable[list[int]], ceiling: int) -> tuple[list[int], ...]:
+    """The union of Stern-Brocot paths, given by their runs (consumed), as a
+    tree of small ints: from the base petal, even runs step into high
+    children and odd runs into low ones, and parents are made first.  A
+    tree of over ``ceiling`` vertices is refused.  One reverse pass counts
+    subtrees, and one pass in tree order puts each apex at its boundary
+    position.  Returns lo, hi, low and high as in ``lotus._Index``, the
+    positions of the path ends and all apex positions in tree order."""
+    low, high, ends = [0, 0], [0, 0], []  # node 0 stands for no child; node 1 is the root
+    for runs in paths:
+        runs[-1] -= 1  # the base petal is the first step
+        x = 1
+        for t, run in enumerate(runs):
+            side = low if t % 2 else high
+            for _ in range(run):
+                y = side[x]
+                if not y:
+                    y = side[x] = len(low)
+                    low.append(0)
+                    high.append(0)
+                x = y
+        ends.append(x)
+        if len(low) + 1 > ceiling:
+            raise ValueError(f"the slopes give a polygon of over {ceiling} vertices")
+    n = len(low) if ends else 1
+    size = [0] * n
+    for x in range(n - 1, 0, -1):
+        size[x] = 1 + size[low[x]] + size[high[x]]
+    pos = [0] * n
+    lo, hi, plow, phigh = [-1] * (n + 1), [-1] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    if n > 1:
+        pos[1] = t = 1 + size[low[1]]
+        lo[t], hi[t] = 0, n
+    for x in range(1, n):
+        t = pos[x]
+        y = low[x]
+        if y:
+            pos[y] = c = lo[t] + 1 + size[low[y]]
+            lo[c], hi[c], plow[t] = lo[t], t, c
+        y = high[x]
+        if y:
+            pos[y] = c = t + 1 + size[low[y]]
+            lo[c], hi[c], phigh[t] = t, hi[t], c
+    return lo, hi, plow, phigh, [pos[x] for x in ends], pos[1:]
+
+
 def polygon_of_cf(terms: Sequence[int]) -> TriangulatedPolygon:
     """Two-eared triangulation attached to an expansion of a value > 1
     (``kidoh_dual`` refuses any other).
 
     Vertex 1 is an ear and the quiddity read from it is
-    (1, b_1, ..., b_r, 1, b'_s, ..., b'_1) with (b') the dual expansion.
+    (1, b_1, ..., b_r, 1, b'_s, ..., b'_1) with (b') the dual expansion:
+    the value's lotus polygon labelled from (1,0).  Its terms
+    [[a0+1, 2^(a1-1), a2+2, ...]] give back the Stern-Brocot runs, each
+    term above 2 closing a run of 2s.  A refusal evaluates the value.
     """
-    dual = kidoh_dual(hj_evaluate(terms)).dual
-    quiddity = (1,) + tuple(terms) + (1,) + tuple(reversed(dual))
-    return polygon_from_quiddity(quiddity)
+    # the polygon has sum(runs) + 2 = sum(terms) - len(terms) + 3 vertices
+    if not terms or min(terms) < 2 or sum(terms) - len(terms) + 3 > MAX_VERTICES:
+        kidoh_dual(hj_evaluate(terms))  # refuses
+    runs = [terms[0] - 1, 1]
+    for b in terms[1:]:
+        if b == 2:
+            runs[-1] += 1
+        else:
+            runs += (b - 2, 1)
+    lo, hi, *_ = _run_tree([runs], MAX_VERTICES)
+    # position t > 0 is label m + 1 - t.  A value > 1 steps up from the base
+    # petal first, so the base petal is the one petal based at (1,0)
+    m = len(lo)
+    return _polygon(m, frozenset((m + 1 - b, m + 1 - a) for a, b in zip(lo[1:-1], hi[1:-1]) if a))

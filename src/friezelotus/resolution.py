@@ -15,8 +15,8 @@ from math import comb, gcd
 
 from .contfrac import MAX_VERTICES, Rational
 from .frieze import MAX_FRIEZE_ENTRIES
-from .lotus import (BASE_PETAL, E1, E2, Lotus, _lotus, _petal, lateral_boundary,
-                    lotus_of_slopes, petal_counts, pinching_points)
+from .lotus import (Lotus, _lotus, lateral_boundary, lotus_of_slopes, petal_counts,
+                    pinching_points)
 from .polyparse import Poly2, Term, _edge_coefficients, compact_edges
 
 
@@ -192,38 +192,40 @@ def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
     A stage grows from a smaller one by blowing up boundary edges (u, v)
     whose petal is in ``l``, left to right, so each stage is made once,
     with its weights: a blow-up adds a -1 at u + v and lowers u and v by 1.
+    A stage keeps its frontier, the edges from its last blow-up on that are
+    petals of ``l``; blowing one up puts that petal's children in its place.
     Stages of over MAX_FRIEZE_ENTRIES weights in all are refused first.
     """
     if l.is_segment:
         raise ValueError("the segment lotus has no resolutions")
+    petals, lo, hi, low, high = l._index
     # for the subtree at a petal, n counts its stages and w their weights;
-    # a child c multiplies the choices by 1 + n_c.  A child's apex has the
-    # larger coordinate sum, so petals taken by decreasing apex sum meet
-    # every child first.  Capping just above the limit keeps the verdict.
+    # a child c (slot 0 is none) multiplies the choices by 1 + n_c.  A
+    # child's base is narrower, so it comes first by width.  Capping just
+    # above the limit keeps the verdict.
     cap = MAX_FRIEZE_ENTRIES + 1
-    sizes = {}
-    for p in sorted(l.petals, key=lambda p: -sum(p.apex)):
-        n = w = 1
-        (u, v), apex = p, p.apex
-        for ch in ((u, apex), (apex, v)):
-            if ch in sizes:
-                nc, wc = sizes.pop(ch)
-                n, w = min(n * (1 + nc), cap), min(w * (1 + nc) + n * wc, cap)
-        sizes[p] = n, w
-    if sizes[BASE_PETAL][1] > MAX_FRIEZE_ENTRIES:
+    n, w = [0] * len(lo), [0] * len(lo)
+    for t in sorted(range(1, len(lo) - 1), key=lambda t: hi[t] - lo[t]):
+        nt = wt = 1
+        for c in (low[t], high[t]):
+            nt, wt = min(nt * (1 + n[c]), cap), min(wt * (1 + n[c]) + nt * w[c], cap)
+        n[t], w[t] = nt, wt
+    root = hi.index(len(hi) - 1)  # the base petal: the first apex whose base ends at (0,1)
+    if w[root] > MAX_FRIEZE_ENTRIES:
         raise ValueError(f"the partial resolutions would have over "
                          f"{MAX_FRIEZE_ENTRIES} weights in all")
-    # weights run along the whole chain; those of (1,0) and (0,1) are never read
+    # weights run along the whole chain, (1,0) and (0,1) included.  A frontier
+    # edge is (its distance from the chain's end, its petal's apex position).
     out = []
-    work = [(frozenset(), [E1, E2], (0, 0), 0)]
+    work = [(frozenset(), (0, 0), [(2, root)])]
     while work:
-        petals, chain, weights, start = work.pop()
-        if petals:
-            out.append((_lotus(petals), _graph(weights[1:-1])))
-        for k in range(start, len(chain) - 1):
-            p = _petal(chain[k], chain[k + 1])
-            if p in l.petals:
-                grown = weights[:k] + (weights[k] - 1, -1, weights[k + 1] - 1) + weights[k + 2:]
-                work.append((petals | {p}, chain[:k + 1] + [p.apex] + chain[k + 1:], grown, k))
+        stage, weights, frontier = work.pop()
+        if stage:
+            out.append((_lotus(stage), _graph(weights[1:-1])))
+        for f, (r, t) in enumerate(frontier):
+            k = len(weights) - r
+            grown = weights[:k] + (weights[k] - 1, -1, weights[k + 1] - 1) + weights[k + 2:]
+            edges = [(d, c) for d, c in ((r + 1, low[t]), (r, high[t])) if c] + frontier[f + 1:]
+            work.append((stage | {petals[t]}, grown, edges))
     out.sort(key=lambda pair: (-len(pair[0].petals), pair[1].weights))
     return out

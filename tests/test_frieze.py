@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections.abc import Mapping
 from itertools import product
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from friezelotus.contfrac import Rational, continuant, hj_expand
-from friezelotus.frieze import MAX_FRIEZE_ENTRIES, _check_quiddity, frieze_from_quiddity
+from friezelotus.frieze import MAX_FRIEZE_ENTRIES, _check_quiddity, _embed, frieze_from_quiddity
 from friezelotus.lotus import embed_polygon, lotus_of_slope, polygon_of_lotus
 from friezelotus.polygon import polygon_from_quiddity, polygon_of_cf, quiddity_of
 
@@ -302,3 +303,25 @@ def test_refusals_before_any_row_keep_their_order():
             assert outcome(build, q) == message
     assert outcome(frieze_from_quiddity, fan_quiddity(3163)) == (
         f"the frieze of a 3163-gon has 5000703 entries, over the limit of {MAX_FRIEZE_ENTRIES}")
+
+
+def embed_by_index(q, k):
+    """The embedding recurrence with each step's quiddity entry and last two
+    vertices looked up by index."""
+    m = len(q)
+    verts = [(0, 1), (1, q[k % m])]
+    for step in range(1, m - 1):
+        mu = q[(k + step) % m]
+        (a, b), (c, d) = verts[-1], verts[-2]
+        verts.append((mu * a - c, mu * b - d))
+    return verts
+
+
+def test_embedding_runs_the_indexed_recurrence_at_every_rotation():
+    rng = random.Random(26)
+    quids = [quiddity_of(random_triangulation(rng.randint(3, 40), rng)) for _ in range(150)]
+    quids += [quiddity_of(polygon_of_cf(hj_expand(Rational(987, 610))))]
+    for q in quids:
+        m = len(q)
+        for k in range(-2 * m, 2 * m):
+            assert _embed(q, k) == embed_by_index(q, k)

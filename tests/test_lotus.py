@@ -352,3 +352,48 @@ def test_union_of_slopes_is_held_to_the_ceiling(monkeypatch):
     assert len(lotus_of_slopes([Rational(60), Rational(1, 37)]).petals) == 96
     with pytest.raises(ValueError, match="^the slopes give a polygon of over 100 vertices$"):
         lotus_of_slopes([Rational(60), Rational(1, 60)])
+
+
+def fibonacci_slope(k):
+    a, b = 1, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return Rational(b, a)
+
+
+def assert_the_slope_index_is_the_walks(l):
+    # born with its boundary and index; a lotus given by its petals walks
+    # once and reads the same index off the walk
+    fresh = Lotus(l.petals, l.marks)
+    assert {"_boundary", "_index"} <= set(vars(l)) and "_index" not in vars(fresh)
+    assert lateral_boundary(fresh) == lateral_boundary(l)
+    assert fresh._index == l._index
+    chain = lateral_boundary(l)
+    petals, lo, hi, low, high = l._index
+    assert [len(a) for a in l._index] == [len(chain)] * 5
+    assert (petals[0], lo[0], hi[0], low[0], high[0]) == (None, -1, -1, 0, 0)
+    assert (petals[-1], lo[-1], hi[-1], low[-1], high[-1]) == (None, -1, -1, 0, 0)
+    assert set(petals[1:-1]) == l.petals and len(petals) == len(l.petals) + 2
+    for t in range(1, len(chain) - 1):
+        p = petals[t]
+        assert lo[t] < t < hi[t] and p == (chain[lo[t]], chain[hi[t]]) and p.apex == chain[t]
+        for c, child in ((low[t], (p.u, p.apex)), (high[t], (p.apex, p.v))):
+            assert petals[c] == child if c else child not in l.petals
+
+
+def test_the_slope_index_is_the_index_of_the_walk():
+    rng = random.Random(26)
+    pairs = coprime_pairs(40)
+    for size in range(1, 6):
+        for _ in range(30):
+            slopes = [Rational(*rng.choice(pairs)[::rng.choice((1, -1))]) for _ in range(size)]
+            assert_the_slope_index_is_the_walks(lotus_of_slopes(slopes))
+    ends = [Rational(0), Rational.infinity()]
+    for extra in ([], [Rational(3, 7)], [Rational(7, 3), Rational(1, 9)]):
+        assert_the_slope_index_is_the_walks(lotus_of_slopes(ends + extra))
+        assert_the_slope_index_is_the_walks(lotus_of_slopes(extra + ends[:1]))
+    for k in (198, 199):
+        l = lotus_of_slopes([fibonacci_slope(k)])
+        assert 195 <= len(l.petals) <= 205
+        assert_the_slope_index_is_the_walks(l)
+        assert_the_slope_index_is_the_walks(lotus_of_slopes([fibonacci_slope(k), Rational(2, 3)]))

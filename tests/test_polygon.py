@@ -1,12 +1,13 @@
 import random
 import time
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from friezelotus.contfrac import Rational
+from friezelotus.contfrac import Rational, hj_evaluate, hj_expand, kidoh_dual
 from friezelotus.lotus import lotus_of_polygon, lotus_of_slopes, polygon_of_lotus
 from friezelotus.polygon import (TriangulatedPolygon, polygon_from_quiddity, polygon_of_cf,
                                  quiddity_of)
@@ -324,3 +325,26 @@ def test_unchecked_constructions_give_valid_triangulations(m, rng):
         built += reduce(t, d)[::2]
     for p in built:
         assert TriangulatedPolygon(p.m, p.diagonals) == p
+
+
+def cf_by_ear_cut(terms):
+    """``polygon_of_cf`` by its definition: the ear cut of the quiddity
+    (1, terms, 1, dual terms reversed), the dual read off the value."""
+    dual = kidoh_dual(hj_evaluate(terms)).dual
+    return polygon_from_quiddity((1, *terms, 1, *reversed(dual)))
+
+
+def test_polygon_of_cf_reads_the_run_tree_as_the_ear_cut_does():
+    fib = [1, 1]
+    while len(fib) < 60:
+        fib.append(fib[-1] + fib[-2])
+    values = [(n, q) for n in range(2, 80) for q in range(1, n) if gcd(n, q) == 1]
+    values += [(fib[k + 1], fib[k]) for k in range(1, 59)] + [(fib[k + 2], fib[k]) for k in range(1, 58)]
+    for n, q in values:
+        terms = hj_expand(Rational(n, q))
+        assert polygon_of_cf(terms) == cf_by_ear_cut(terms)
+        assert polygon_of_cf(list(terms)) == cf_by_ear_cut(terms)
+    # every refusal keeps its text, in the order the value's checks give it
+    for terms in [(), (1,), (0, 3), (3, 1), (2, 2), (5, 1, 3), (1, 3), (2, 0), (1, 2, 2),
+                  (10 ** 6,), (999_999,), (2,) * 999_998, (3,) + (2,) * 999_997]:
+        assert outcome(polygon_of_cf, terms) == outcome(cf_by_ear_cut, terms)

@@ -269,11 +269,41 @@ def test_mutation_matches_the_oracle_on_fibonacci_ratios(k, inverted, picks):
 
 
 def test_mutation_reads_the_kept_boundary_as_a_fresh_walk():
-    # one lotus mutated at every diagonal reads the boundary it walked first
-    for slopes in ([Rational(11, 8), Rational(2, 5)], [fibonacci_ratio(30, False)]):
+    # a lotus born with its boundary index, from its slopes, and the same
+    # lotus reading its index off a fresh walk mutate, or refuse, alike at
+    # every chord with labels from 0 to m + 1
+    rng = random.Random(26)
+    pairs = coprime_pairs(30)
+    cases = [[Rational(11, 8), Rational(2, 5)], [fibonacci_ratio(30, False)],
+             [fibonacci_ratio(25, True)], [fibonacci_ratio(12, False), Rational(1, 4)]]
+    cases += [[Rational(*rng.choice(pairs)[::rng.choice((1, -1))]) for _ in range(rng.randint(2, 4))]
+              for _ in range(8)]
+    for slopes in cases:
         l = lotus_of_slopes(slopes)
-        for d in sorted(polygon_of_lotus(l)[0].diagonals):
-            assert mutate_lotus(l, d) == mutate_lotus(_lotus(l.petals, l.marks), d)
+        fresh = _lotus(l.petals, l.marks)
+        m = len(lateral_boundary(l))
+        for chord in ((i, j) for i in range(m + 2) for j in range(i, m + 2)):
+            assert (outcome(lambda c: mutate_lotus(l, c), chord)
+                    == outcome(lambda c: mutate_lotus(fresh, c), chord))
+        assert all(mutate_lotus(l, d) == mutate_by_reembedding(l, d)
+                   for d in sorted(polygon_of_lotus(l)[0].diagonals))
+
+
+def test_a_cut_counts_its_quiddity_off_the_parent():
+    # reduce takes t off at each end of the cut instead of recounting, and
+    # the chain reads the parent quiddity once; both give the quiddity of
+    # the kept piece, and the chain is reduce at every diagonal
+    rng = random.Random(26)
+    for m in [4, 5, 6, 9, 14, 30] * 4:
+        p = random_triangulation(m, rng)
+        for d in p.diagonals:
+            r = reduce(p, d[::-1])
+            assert r.quiddity == quiddity_of(r.polygon)
+            assert r.polygon.m + r.dropped.m == m + 2
+        l = lotus_of_polygon(p, 0)
+        chain = reduction_chain(l)
+        poly, _ = polygon_of_lotus(l)
+        assert len(chain) == m - 3 and set(chain) == {reduce(poly, d) for d in poly.diagonals}
 
 
 def test_mutation_refusals_keep_their_text():
