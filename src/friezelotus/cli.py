@@ -17,51 +17,43 @@ embedding {"vertices": [[x,y], ...]}
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from collections.abc import Sequence
 
 from . import __version__
-from .contfrac import Rational, _refuse_long_integer, hj_expand, kidoh_dual
-from .frieze import Frieze, _check_quiddity, frieze_from_quiddity
-from .lotus import (Lotus, Petal, embed_polygon, lotus_of_polygon,
-                    lotus_of_slope, lotus_of_slopes, polygon_of_lotus)
-from .polygon import quiddity_of
-from .polyparse import parse_poly
-from .render import RenderOptions, render_frieze_text, render_graph_dot, render_lotus_svg
-from .resolution import (ResolutionGraph, count_resolution_graphs,
-                         curve_of_lotus, graph_of_lotus, is_newton_nondegenerate,
-                         lotus_of_poly, partial_resolutions)
-from .transform import mutate_lotus, reduce as reduce_polygon
+from .contfrac import Rational, _refuse_long_integer
+
+# Each handler imports the modules it calls when it runs, so a fresh process
+# compiles only what its subcommand needs.
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    code, output = run(list(sys.argv[1:] if argv is None else argv))
+def main(argv: list[str] | None = None) -> int:
+    code, output = run(sys.argv[1:] if argv is None else argv)
     if output:
         sys.stdout.write(output)
     return code
 
 
-_PARSER: argparse.ArgumentParser | None = None
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
 
 
-def run(argv: Sequence[str], stdin_text: str | None = None) -> tuple[int, str]:
+def run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
     """Dispatch one invocation; returns (exit code, stdout text).
 
     Usage problems exit 2 via argparse; domain errors return 1 with the
     diagnostic on stderr.
     """
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    parser = _PARSER
+    argv = list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = _build_parser(command)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0), ""
     try:
-        output = args.handler(args, stdin_text)
+        output = _COMMANDS[args.command][1](args, stdin_text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, ""
@@ -76,56 +68,20 @@ def run(argv: Sequence[str], stdin_text: str | None = None) -> tuple[int, str]:
     return 0, output
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or with ``command`` one that adds arguments only to
+    that subcommand's parser.  Every subcommand is registered by name and
+    help either way, which is all that parsing ``command`` reads of the
+    others, so usage, help and error texts are the same."""
     parser = argparse.ArgumentParser(
         prog="friezelotus",
         description="Exact frieze / triangulation / lotus / resolution-graph calculator.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hj", help="continued-fraction expansion and its dual")
-    p.add_argument("rational", help="value n/q (or a bare integer)")
-    _common(p)
-    p.set_defaults(handler=_cmd_hj)
-
-    p = _input_parser(sub, "frieze", "build and print a frieze", _cmd_frieze,
-                      "[--periods PERIODS] [--json] [--out FILE]")
-    p.add_argument("--periods", type=_int, default=1, help="periods in the text grid")
-    _common(p)
-
-    p = sub.add_parser("embed", help="embed a quiddity into the lattice")
-    p.add_argument("--quiddity", required=True, help="comma-separated quiddity")
-    p.add_argument("-k", type=_int, default=0, help="quiddity position placed at (0,1)")
-    _common(p)
-    p.set_defaults(handler=_cmd_embed)
-
-    for name, summary, handler in (
-            ("lotus", "petal chain of slopes or a polynomial", _cmd_lotus),
-            ("graph", "dual resolution graph", _cmd_graph),
-            ("reduce", "cut the polygon along a diagonal", _cmd_reduce),
-            ("mutate", "flip a diagonal and re-embed the lotus", _cmd_mutate),
-            ("partials", "all partial resolutions", _cmd_partials)):
-        takes_diagonal = name in ("reduce", "mutate")
-        p = _input_parser(sub, name, summary, handler,
-                          "--diagonal DIAGONAL " * takes_diagonal + "[--json] [--out FILE]")
-        if takes_diagonal:
-            p.add_argument("--diagonal", required=True, help="diagonal i,j (vertex labels)")
-        _common(p)
-
-    p = sub.add_parser("count", help="number of weighted A_n resolution chains")
-    p.add_argument("n", type=_int)
-    _common(p)
-    p.set_defaults(handler=_cmd_count)
-
-    p = _input_parser(sub, "render", "emit SVG, DOT, or a frieze grid", _cmd_render,
-                      "--format {svg,dot,text} [--periods PERIODS]",
-                      "[--scale SCALE] [--grid] [--weights] [--out FILE]")
-    p.add_argument("--format", choices=("svg", "dot", "text"), required=True)
-    p.add_argument("--periods", type=_int, default=1)
-    p.add_argument("--scale", type=float, default=40.0)
-    p.add_argument("--grid", action="store_true", help="draw lattice grid lines (svg)")
-    p.add_argument("--weights", action="store_true", help="label weights (svg)")
-    p.add_argument("--out", metavar="FILE", help="write output to FILE")
+    for name, (summary, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            _add_arguments(p, name)
 
     # argparse reads a word that begins with "-" and names no option as a
     # value only when it looks like a negative number; widen that to every
@@ -135,6 +91,35 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = re.compile("-[^-]")
     return parser
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    if name == "hj":
+        p.add_argument("rational", help="value n/q (or a bare integer)")
+    elif name == "embed":
+        p.add_argument("--quiddity", required=True, help="comma-separated quiddity")
+        p.add_argument("-k", type=_int, default=0, help="quiddity position placed at (0,1)")
+    elif name == "count":
+        p.add_argument("n", type=_int)
+    elif name == "frieze":
+        _input_group(p, name, "[--periods PERIODS] [--json] [--out FILE]")
+        p.add_argument("--periods", type=_int, default=1, help="periods in the text grid")
+    elif name == "render":
+        _input_group(p, name, "--format {svg,dot,text} [--periods PERIODS]",
+                     "[--scale SCALE] [--grid] [--weights] [--out FILE]")
+        p.add_argument("--format", choices=("svg", "dot", "text"), required=True)
+        p.add_argument("--periods", type=_int, default=1)
+        p.add_argument("--scale", type=float, default=40.0)
+        p.add_argument("--grid", action="store_true", help="draw lattice grid lines (svg)")
+        p.add_argument("--weights", action="store_true", help="label weights (svg)")
+    else:
+        takes_diagonal = name in ("reduce", "mutate")
+        _input_group(p, name, "--diagonal DIAGONAL " * takes_diagonal + "[--json] [--out FILE]")
+        if takes_diagonal:
+            p.add_argument("--diagonal", required=True, help="diagonal i,j (vertex labels)")
+    if name != "render":
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
 def _int(text: str) -> int:
@@ -149,19 +134,12 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--out", metavar="FILE", help="write output to FILE")
-
-
-def _input_parser(sub, name: str, summary: str, handler, *usage_tail: str):
-    """A subcommand taking one input source, with usage text fixed as 3.10-3.12
+def _input_group(p: argparse.ArgumentParser, name: str, *usage_tail: str) -> None:
+    """A subcommand's one input source, with usage text fixed as 3.10-3.12
     wrap it at 80 columns: 3.13 would also wrap inside the input group."""
     indent = "\n" + " " * len(f"usage: friezelotus {name} ")
-    usage = indent.join(("%(prog)s [-h]", "(--quiddity QUIDDITY | --rational RATIONAL"
-                         " | --slopes SLOPES | --poly POLY | --stdin)", *usage_tail))
-    p = sub.add_parser(name, help=summary, usage=usage)
-    p.set_defaults(handler=handler)
+    p.usage = indent.join(("%(prog)s [-h]", "(--quiddity QUIDDITY | --rational RATIONAL"
+                           " | --slopes SLOPES | --poly POLY | --stdin)", *usage_tail))
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--quiddity", help="comma-separated quiddity, e.g. 1,2,2,3,2,1,3,4")
     group.add_argument("--rational", help="slope n/q")
@@ -169,7 +147,6 @@ def _input_parser(sub, name: str, summary: str, handler, *usage_tail: str):
     group.add_argument("--poly", help="polynomial, e.g. \"x^3-y^2\"")
     group.add_argument("--stdin", action="store_true",
                        help="read a lotus JSON document from stdin")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +170,19 @@ def _parse_diagonal(text: str) -> tuple[int, int]:
     return i, j
 
 
-def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
+def _lotus_from_args(args, stdin_text: str | None):
     # the input group is required, so exactly one of these options is set
     if args.stdin:
         return lotus_from_json(stdin_text if stdin_text is not None else sys.stdin.read())
+    if args.poly is not None:
+        from .polyparse import parse_poly
+        from .resolution import is_newton_nondegenerate, lotus_of_poly
+        f = parse_poly(args.poly)
+        if not is_newton_nondegenerate(f):
+            raise ValueError(f"{args.poly!r} is degenerate: a compact-edge restriction "
+                             "is not square-free away from the axes")
+        return lotus_of_poly(f)
+    from .lotus import lotus_of_polygon, lotus_of_slope, lotus_of_slopes
     if args.slopes is not None:
         try:
             return lotus_of_slopes(Rational.parse(s) for s in args.slopes.split(","))
@@ -205,18 +191,16 @@ def _lotus_from_args(args, stdin_text: str | None) -> Lotus:
             raise
     if args.rational is not None:
         return lotus_of_slope(Rational.parse(args.rational))
-    if args.poly is not None:
-        f = parse_poly(args.poly)
-        if not is_newton_nondegenerate(f):
-            raise ValueError(f"{args.poly!r} is degenerate: a compact-edge restriction "
-                             "is not square-free away from the axes")
-        return lotus_of_poly(f)
+    from .frieze import _check_quiddity
     return lotus_of_polygon(_check_quiddity(_parse_quiddity(args.quiddity)), 0)
 
 
-def _frieze_from_args(args, stdin_text: str | None) -> Frieze:
+def _frieze_from_args(args, stdin_text: str | None):
+    from .frieze import frieze_from_quiddity
     if args.quiddity is not None:
         return frieze_from_quiddity(_parse_quiddity(args.quiddity))
+    from .lotus import polygon_of_lotus
+    from .polygon import quiddity_of
     q = quiddity_of(polygon_of_lotus(_lotus_from_args(args, stdin_text))[0])
     if args.rational is not None:
         q = q[-1:] + q[:-1]  # a slope's frieze starts at (1,0), the lotus's last vertex
@@ -227,13 +211,16 @@ def _frieze_from_args(args, stdin_text: str | None) -> Frieze:
 # JSON codecs
 
 
-def lotus_to_json(l: Lotus) -> dict:
+def lotus_to_json(l) -> dict:
     return {"petals": [[list(p.u), list(p.v)] for p in sorted(l.petals)],
             "marks": [list(pt) for pt in sorted(l.marks)]}
 
 
-def lotus_from_json(text: str) -> Lotus:
+def lotus_from_json(text: str):
     """Decode a lotus document; ``Petal`` and ``Lotus`` check its values."""
+    import json
+
+    from .lotus import Lotus, Petal
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -253,20 +240,42 @@ def lotus_from_json(text: str) -> Lotus:
 def _json_point(value) -> tuple[int, int]:
     # exact types, since bool is a subclass of int
     if type(value) is not list or len(value) != 2 or any(type(c) is not int for c in value):
+        import json
         raise ValueError(f"bad lotus JSON: a point is two integers, got {json.dumps(value)}")
     return value[0], value[1]
 
 
-def graph_to_json(g: ResolutionGraph) -> dict:
+def graph_to_json(g) -> dict:
     return {"weights": list(g.weights), "arrows": [a + 1 for a in sorted(g.arrows)]}
 
 
-def frieze_to_json(f: Frieze) -> dict:
+def frieze_to_json(f) -> dict:
     return {"m": f.m, "quiddity": list(f.quiddity),
             "entries": {f"{i},{j}": v for (i, j), v in f.entries.items()}}
 
 
+def _frieze_json(f) -> str:
+    """``_dump(frieze_to_json(f))``, written in the order ``sort_keys`` gives
+    it: a key "i,j" sorts by str(i), then by str(j), as "," sorts below every
+    digit.  Entry (i, i+k) comes from the continuant recurrence in k."""
+    m, q = f.m, f.quiddity
+    order = sorted(range(m), key=str)
+    tails = [f'{j}": ' for j in range(m)]
+    groups = []
+    for i in order:
+        if i == m - 1:  # no pair (i, j) with j > i
+            continue
+        e = [0, 1]  # e[k] = value(i, i+k)
+        for a in q[i + 1:m - 1]:
+            e.append(a * e[-1] - e[-2])
+        head = f'"{i},'
+        groups.append(", ".join([head + tails[j] + str(e[j - i]) for j in order if j > i]))
+    quiddity = ", ".join(map(str, q))
+    return f'{{"entries": {{{", ".join(groups)}}}, "m": {m}, "quiddity": [{quiddity}]}}\n'
+
+
 def _dump(doc) -> str:
+    import json
     return json.dumps(doc, separators=(", ", ": "), sort_keys=True) + "\n"
 
 
@@ -275,6 +284,7 @@ def _dump(doc) -> str:
 
 
 def _cmd_hj(args, stdin_text) -> str:
+    from .contfrac import hj_expand, kidoh_dual
     value = Rational.parse(args.rational)
     terms = hj_expand(value)
     kd = kidoh_dual(value) if value.num > value.den else None
@@ -297,11 +307,13 @@ def _bracket(terms) -> str:
 def _cmd_frieze(args, stdin_text) -> str:
     f = _frieze_from_args(args, stdin_text)
     if args.json:
-        return _dump(frieze_to_json(f))
+        return _frieze_json(f)
+    from .render import render_frieze_text
     return render_frieze_text(f, args.periods)
 
 
 def _cmd_embed(args, stdin_text) -> str:
+    from .lotus import embed_polygon
     verts = embed_polygon(_parse_quiddity(args.quiddity), args.k)
     if args.json:
         return _dump({"vertices": [list(v) for v in verts]})
@@ -312,7 +324,7 @@ def _cmd_lotus(args, stdin_text) -> str:
     return _show_lotus(_lotus_from_args(args, stdin_text), args.json)
 
 
-def _show_lotus(l: Lotus, as_json: bool) -> str:
+def _show_lotus(l, as_json: bool) -> str:
     if as_json:
         return _dump(lotus_to_json(l))
     lines = [f"petals {len(l.petals)}"]
@@ -321,11 +333,13 @@ def _show_lotus(l: Lotus, as_json: bool) -> str:
     if l.marks:
         lines.append("marks " + " ".join(str(pt) for pt in sorted(l.marks)))
     if not l.is_segment:
+        from .resolution import curve_of_lotus
         lines.append(f"curve {curve_of_lotus(l)}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_graph(args, stdin_text) -> str:
+    from .resolution import graph_of_lotus
     g = graph_of_lotus(_lotus_from_args(args, stdin_text))
     if args.json:
         return _dump(graph_to_json(g))
@@ -336,6 +350,8 @@ def _cmd_graph(args, stdin_text) -> str:
 
 
 def _cmd_reduce(args, stdin_text) -> str:
+    from .lotus import polygon_of_lotus
+    from .transform import reduce as reduce_polygon
     l = _lotus_from_args(args, stdin_text)
     poly, _ = polygon_of_lotus(l)
     result = reduce_polygon(poly, _parse_diagonal(args.diagonal))
@@ -350,11 +366,13 @@ def _cmd_reduce(args, stdin_text) -> str:
 
 
 def _cmd_mutate(args, stdin_text) -> str:
+    from .transform import mutate_lotus
     l = _lotus_from_args(args, stdin_text)
     return _show_lotus(mutate_lotus(l, _parse_diagonal(args.diagonal)), args.json)
 
 
 def _cmd_partials(args, stdin_text) -> str:
+    from .resolution import partial_resolutions
     l = _lotus_from_args(args, stdin_text)
     pairs = partial_resolutions(l)
     if args.json:
@@ -375,6 +393,7 @@ def _cmd_count(args, stdin_text) -> str:
     # bound passes the ceiling the count need not be computed to be refused
     if 2 * n - (2 * (2 * n + 1) * (n + 1)).bit_length() >= ceiling.bit_length():
         raise ValueError(too_long)
+    from .resolution import count_resolution_graphs
     value = count_resolution_graphs(n)
     if value >= ceiling:
         raise ValueError(too_long)
@@ -385,9 +404,28 @@ def _cmd_count(args, stdin_text) -> str:
 
 def _cmd_render(args, stdin_text) -> str:
     if args.format == "text":
+        from .render import render_frieze_text
         return render_frieze_text(_frieze_from_args(args, stdin_text), args.periods)
     if args.format == "dot":
+        from .render import render_graph_dot
+        from .resolution import graph_of_lotus
         return render_graph_dot(graph_of_lotus(_lotus_from_args(args, stdin_text)))
+    from .render import RenderOptions, render_lotus_svg
     options = RenderOptions(scale=args.scale, show_grid=args.grid,
                             label_weights=args.weights)
     return render_lotus_svg(_lotus_from_args(args, stdin_text), options)
+
+
+# subcommand -> (help, handler), in the order the help lists them
+_COMMANDS = {
+    "hj": ("continued-fraction expansion and its dual", _cmd_hj),
+    "frieze": ("build and print a frieze", _cmd_frieze),
+    "embed": ("embed a quiddity into the lattice", _cmd_embed),
+    "lotus": ("petal chain of slopes or a polynomial", _cmd_lotus),
+    "graph": ("dual resolution graph", _cmd_graph),
+    "reduce": ("cut the polygon along a diagonal", _cmd_reduce),
+    "mutate": ("flip a diagonal and re-embed the lotus", _cmd_mutate),
+    "partials": ("all partial resolutions", _cmd_partials),
+    "count": ("number of weighted A_n resolution chains", _cmd_count),
+    "render": ("emit SVG, DOT, or a frieze grid", _cmd_render),
+}

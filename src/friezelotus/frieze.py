@@ -130,9 +130,9 @@ def _check_quiddity(q: tuple[int, ...]) -> TriangulatedPolygon:
     """The triangulation of ``q`` by the O(m) ear cut, which accepts exactly
     the frieze quiddities (Conway-Coxeter).  A refusal of the length, of a
     non-positive entry or past the frieze ceiling stands.  Any other names
-    the first bad pair in row-major order, building rows two at a time by
-    the continuant recurrence, which gives the diamond rule's numbers with no
-    division: rows 2..m-2 must be positive and row m-1 all 1s."""
+    the first bad pair in row-major order, reading the rows of :func:`_rows`,
+    which give the diamond rule's numbers with no division: rows 2..m-2 must
+    be positive and row m-1 all 1s."""
     try:
         return polygon_from_quiddity(q)
     except ValueError:
@@ -140,14 +140,27 @@ def _check_quiddity(q: tuple[int, ...]) -> TriangulatedPolygon:
         if m < 3 or min(q) < 1 or m * (m - 1) // 2 > MAX_FRIEZE_ENTRIES:
             raise
         bad = "not a frieze quiddity: the diamond rule at ({},{}) produces {}"
-        prev2, prev = [0] * m, [1] * m
-        for d in range(2, m):
-            row = [a * p - pp for a, p, pp in zip(q[d - 1:] + q[:d - 1], prev, prev2)]
-            if d <= m - 2 and min(row) < 1:
+        for d, row in enumerate(_rows(q)):
+            if d == m - 1:
+                for i, val in enumerate(row):
+                    if val != 1:
+                        raise ValueError(bad.format(i, i + d, f"closing value {val} instead of 1"))
+                raise
+            if d >= 2 and min(row) < 1:
                 i = next(i for i, val in enumerate(row) if val < 1)
                 raise ValueError(bad.format(i, i + d, f"the non-positive entry {row[i]}"))
-            prev2, prev = prev, row
-        for i, val in enumerate(prev):
-            if val != 1:
-                raise ValueError(bad.format(i, i + m - 1, f"closing value {val} instead of 1"))
-        raise
+
+
+def _rows(q: tuple[int, ...]) -> Iterator[list[int]]:
+    """Rows 0, 1, ..., m of the frieze of ``q``, row d holding the values at
+    (i, i+d) for i = 0 .. m-1, each from the two before it by the continuant
+    recurrence value(i, i+d) = q[i+d-1] value(i, i+d-1) - value(i, i+d-2):
+    one small-by-large product per value, and no division, so it runs on any
+    ``q``."""
+    m = len(q)
+    prev2, prev = [0] * m, [1] * m
+    yield prev2
+    yield prev
+    for d in range(2, m + 1):
+        prev2, prev = prev, [a * p - pp for a, p, pp in zip(q[d - 1:] + q[:d - 1], prev, prev2)]
+        yield prev

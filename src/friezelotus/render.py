@@ -5,9 +5,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .frieze import MAX_FRIEZE_ENTRIES, Frieze
-from .lotus import Lotus, lateral_boundary, petal_counts
-from .resolution import ResolutionGraph
+from .frieze import MAX_FRIEZE_ENTRIES, Frieze, _rows
 
 MAX_GRID_LINES = 10_000
 
@@ -27,10 +25,11 @@ def _fmt(value: float) -> str:
     return text if text != "-0" else "0"
 
 
-def render_lotus_svg(l: Lotus, options: RenderOptions = RenderOptions()) -> str:
-    """Standalone SVG: petals as filled triangles at exact lattice positions
-    (y axis flipped so lattice up renders up), the lateral boundary as a
-    highlighted polyline, marks as filled circles."""
+def render_lotus_svg(l, options: RenderOptions = RenderOptions()) -> str:
+    """Standalone SVG of the lotus ``l``: petals as filled triangles at exact
+    lattice positions (y axis flipped so lattice up renders up), the lateral
+    boundary as a highlighted polyline, marks as filled circles."""
+    from .lotus import lateral_boundary, petal_counts
     margin = 1
     boundary = lateral_boundary(l)
     max_x = max(p[0] for p in boundary) + margin
@@ -91,6 +90,7 @@ def render_frieze_text(f: Frieze, periods: int = 1) -> str:
 
     Row d holds the entries (i, i+d) for i = 0 .. periods*m - 1; consecutive
     rows are shifted by half a cell, entries right-aligned in fixed cells.
+    Both the width pass and the grid read the rows of ``frieze._rows``.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
@@ -98,20 +98,19 @@ def render_frieze_text(f: Frieze, periods: int = 1) -> str:
     if periods * (m * (m - 1) // 2) > MAX_FRIEZE_ENTRIES:
         raise ValueError(f"{periods} periods of the frieze of a {m}-gon exceed "
                          f"the limit of {MAX_FRIEZE_ENTRIES} entries")
-    count = periods * m
-    widest = len(str(max(f.entries.values())))  # entries are positive
+    # rows 1..m-1 hold every entry, all positive, and row m-d is row d
+    # rotated (the glide map), so rows up to m/2 give the widest
+    widest = len(str(max(max(row) for row, _ in zip(_rows(f.quiddity), range(m // 2 + 1)))))
     cell = 2 * ((widest + 2) // 2 + 1)
     half = cell // 2
-    out = []
-    for d in range(m + 1):
-        row = "".join(str(f.entry(i, i + d)).rjust(cell) for i in range(count))
-        out.append((" " * (d * half) + row).rstrip())
-    return "\n".join(out) + "\n"
+    period = f"%{cell}d" * m
+    return "".join(" " * (d * half) + (period % tuple(row)) * periods + "\n"
+                   for d, row in enumerate(_rows(f.quiddity)))
 
 
-def render_graph_dot(g: ResolutionGraph) -> str:
-    """Graphviz source for the weighted chain; arrowheads become unlabeled
-    point nodes attached with directed edges."""
+def render_graph_dot(g) -> str:
+    """Graphviz source for the weighted chain of the resolution graph ``g``;
+    arrowheads become unlabeled point nodes attached with directed edges."""
     lines = ["graph resolution {", "  rankdir=LR;", '  node [shape=circle];']
     for t, w in enumerate(g.weights, start=1):
         lines.append(f'  E{t} [label="{w}"];')

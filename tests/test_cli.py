@@ -6,6 +6,7 @@ import sys
 import time
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,8 @@ from friezelotus.lotus import lotus_of_slope, lotus_of_slopes, polygon_of_lotus
 from friezelotus.polygon import polygon_of_cf, quiddity_of
 from friezelotus.render import MAX_GRID_LINES, render_frieze_text
 
-from conftest import fan_quiddity, frieze_by_rows, outcome
+from conftest import (enumerate_triangulations, fan_quiddity, frieze_by_rows, outcome,
+                      random_triangulation)
 
 
 def test_hj_running():
@@ -179,6 +181,59 @@ def test_frieze_output_is_the_rendered_row_frieze():
     oracle = Frieze(len(q), q, frieze_by_rows(q))
     assert run(["frieze", "--rational", "1001/1000"]) == (0, render_frieze_text(oracle))
     assert run(["frieze", "--rational", "1001/1000", "--json"]) == (0, _dump(frieze_to_json(oracle)))
+
+
+def assert_json_is_the_sorted_dump(q):
+    # the oracle: the whole entries dict, sorted and written by json.dumps
+    doc = {"m": len(q), "quiddity": list(q),
+           "entries": {f"{i},{j}": v for (i, j), v in frieze_by_rows(q).items()}}
+    want = json.dumps(doc, separators=(", ", ": "), sort_keys=True) + "\n"
+    assert run(["frieze", "--quiddity", ",".join(map(str, q)), "--json"]) == (0, want)
+
+
+def test_frieze_json_is_the_sorted_dump():
+    for m in range(3, 10):
+        for t in enumerate_triangulations(m):
+            assert_json_is_the_sorted_dump(quiddity_of(t))
+
+
+@given(st.integers(3, 60), st.randoms(use_true_random=False))
+def test_frieze_json_is_the_sorted_dump_on_random_triangulations(m, rng):
+    assert_json_is_the_sorted_dump(quiddity_of(random_triangulation(m, rng)))
+
+
+def test_frieze_json_is_the_sorted_dump_past_ninety_bits():
+    a, b = 1, 1
+    while b.bit_length() < 100:
+        a, b = b, a + b
+    q = quiddity_of(polygon_of_lotus(lotus_of_slope(Rational(b, a)))[0])
+    assert max(frieze_by_rows(q).values()).bit_length() >= 90
+    assert_json_is_the_sorted_dump(q)
+
+
+def test_one_configured_subparser_reads_as_the_whole_parser(monkeypatch):
+    # run adds arguments only to the subcommand named first; what parsing
+    # prints, and what it returns, must be the whole parser's
+    from friezelotus.cli import _COMMANDS, _build_parser
+
+    def parse(parser, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                got = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                got = exc.code
+        return got, out.getvalue(), err.getvalue()
+
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+    argvs = [case["argv"] for case in corpus] + [
+        ["hj", "11/8", "--bogus"], ["frieze", "--rational", "3/2", "extra"],
+        ["hj", "11/8", "frieze"], ["render", "--rational", "-1/2", "--format", "dot"]]
+    whole = _build_parser()
+    for argv in argvs:
+        if argv and argv[0] in _COMMANDS:
+            assert parse(_build_parser(argv[0]), argv) == parse(whole, argv), argv
 
 
 def test_lotus_plain_and_json():
@@ -519,6 +574,7 @@ def test_frieze_entry_ceiling(capsys):
     fan = ",".join(map(str, fan_quiddity(3200)))
     for argv, m in ((["frieze", "--rational", "4001/4000"], 4003),
                     (["frieze", "--quiddity", fan], 3200),
+                    (["frieze", "--quiddity", fan, "--json"], 3200),
                     (["render", "--format", "text", "--quiddity", fan], 3200)):
         assert run(argv) == (1, "")
         assert capsys.readouterr().err == (

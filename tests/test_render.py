@@ -5,17 +5,18 @@ import typing
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 import friezelotus
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
-from friezelotus.lotus import BASE_PETAL, Lotus, lotus_of_slope
+from friezelotus.lotus import BASE_PETAL, Lotus, lotus_of_slope, polygon_of_lotus
 from friezelotus.polygon import quiddity_of
 from friezelotus.render import (RenderOptions, render_frieze_text,
                                 render_graph_dot, render_lotus_svg)
 from friezelotus.resolution import ResolutionGraph, graph_of_lotus
 
-from conftest import enumerate_triangulations
+from conftest import enumerate_triangulations, random_triangulation
 
 
 def test_options_validate():
@@ -119,6 +120,48 @@ def test_frieze_text_matches_spliced_reference():
             f = frieze_from_quiddity(quiddity_of(t))
             for periods in (1, 2, 3):
                 assert render_frieze_text(f, periods) == spliced_frieze_text(f, periods)
+
+
+def mapping_frieze_text(f, periods):
+    """Reference renderer reading every value through ``Frieze.entry``: the
+    widest value sizes the cells, then each is right-justified in its cell."""
+    m = f.m
+    widest = len(str(max(f.entries.values())))
+    cell = 2 * ((widest + 2) // 2 + 1)
+    half = cell // 2
+    out = []
+    for d in range(m + 1):
+        row = "".join(str(f.entry(i, i + d)).rjust(cell) for i in range(periods * m))
+        out.append((" " * (d * half) + row).rstrip())
+    return "\n".join(out) + "\n"
+
+
+def assert_grid_reads_the_entries(q):
+    f = frieze_from_quiddity(q)
+    for periods in (1, 2, 3):
+        assert render_frieze_text(f, periods) == mapping_frieze_text(f, periods)
+
+
+def test_frieze_text_matches_the_mapping_grid():
+    for m in range(3, 10):
+        for t in enumerate_triangulations(m):
+            assert_grid_reads_the_entries(quiddity_of(t))
+
+
+@given(st.integers(3, 60), st.randoms(use_true_random=False))
+def test_frieze_text_matches_the_mapping_grid_on_random_triangulations(m, rng):
+    assert_grid_reads_the_entries(quiddity_of(random_triangulation(m, rng)))
+
+
+def test_frieze_text_matches_the_mapping_grid_past_ninety_bits():
+    # a ratio of consecutive Fibonacci numbers: entries of over 90 bits,
+    # whose cells are wider than any row's own entries
+    a, b = 1, 1
+    while b.bit_length() < 100:
+        a, b = b, a + b
+    q = quiddity_of(polygon_of_lotus(lotus_of_slope(Rational(b, a)))[0])
+    assert max(frieze_from_quiddity(q).entries.values()).bit_length() >= 90
+    assert_grid_reads_the_entries(q)
 
 
 def test_dot_cusp_graph():

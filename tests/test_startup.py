@@ -1,9 +1,9 @@
 """Fresh interpreters, started as the ``friezelotus`` command starts one.
 
 Every CLI call pays for its imports, so importing the CLI must not load
-the heavy standard modules the package avoids; and one call through
-``python -m friezelotus`` covers ``__main__``, which the in-process replay
-of the golden corpus skips.
+the heavy standard modules the package avoids, and a subcommand loads only
+the package modules it runs; and one call through ``python -m friezelotus``
+covers ``__main__``, which the in-process replay of the golden corpus skips.
 """
 
 import json
@@ -29,6 +29,31 @@ def test_cli_import_loads_no_heavy_modules():
     loaded = set(proc.stdout.split())
     assert "friezelotus.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "typing", "inspect", "fractions", "decimal"})
+
+
+def loaded(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """One fresh ``friezelotus`` process and the modules it imported, read
+    from its ``-X importtime`` lines."""
+    proc = fresh("-X", "importtime", "-m", "friezelotus", *argv)
+    return proc, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
+def test_a_subcommand_loads_only_what_it_runs():
+    beyond_the_parser = {"json", "friezelotus.lotus", "friezelotus.frieze",
+                         "friezelotus.resolution", "friezelotus.render",
+                         "friezelotus.transform", "friezelotus.polyparse"}
+    for argv, code in ((["hj", "11/8"], 0), (["mutate", "--rational", "3/2"], 2),
+                       (["flip", "--rational", "3/2"], 2)):
+        proc, modules = loaded(*argv)
+        assert proc.returncode == code and "friezelotus.contfrac" in modules
+        assert modules.isdisjoint(beyond_the_parser), (argv, modules & beyond_the_parser)
+    # a quiddity's frieze needs no lotus, and its JSON is written by hand
+    for tail in ([], ["--json"]):
+        proc, modules = loaded("frieze", "--quiddity", "1,2,2,3,2,1,3,4", *tail)
+        assert proc.returncode == 0 and "friezelotus.frieze" in modules
+        assert modules.isdisjoint({"json", "friezelotus.lotus", "friezelotus.resolution",
+                                   "friezelotus.polyparse"})
 
 
 def test_fresh_process_reproduces_golden_entry():
