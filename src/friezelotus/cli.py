@@ -217,10 +217,10 @@ def lotus_to_json(l) -> dict:
 
 
 def lotus_from_json(text: str):
-    """Decode a lotus document; ``Petal`` and ``Lotus`` check its values."""
+    """Decode a lotus document; ``check_petal`` and ``check_lotus`` check its values."""
     import json
 
-    from .lotus import Lotus, Petal
+    from .lotus import check_lotus, check_petal
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -232,9 +232,9 @@ def lotus_from_json(text: str):
     for pair in doc["petals"]:
         if type(pair) is not list or len(pair) != 2:
             raise ValueError(f"bad lotus JSON: a petal is two points, got {json.dumps(pair)}")
-        petals.append(Petal(_json_point(pair[0]), _json_point(pair[1])))
+        petals.append(check_petal(_json_point(pair[0]), _json_point(pair[1])))
     marks = frozenset(map(_json_point, doc.get("marks", [])))
-    return Lotus(frozenset(petals), marks)
+    return check_lotus(frozenset(petals), marks)
 
 
 def _json_point(value) -> tuple[int, int]:
@@ -249,15 +249,11 @@ def graph_to_json(g) -> dict:
     return {"weights": list(g.weights), "arrows": [a + 1 for a in sorted(g.arrows)]}
 
 
-def frieze_to_json(f) -> dict:
-    return {"m": f.m, "quiddity": list(f.quiddity),
-            "entries": {f"{i},{j}": v for (i, j), v in f.entries.items()}}
-
-
 def _frieze_json(f) -> str:
-    """``_dump(frieze_to_json(f))``, written in the order ``sort_keys`` gives
-    it: a key "i,j" sorts by str(i), then by str(j), as "," sorts below every
-    digit.  Entry (i, i+k) comes from the continuant recurrence in k."""
+    """The frieze document ``{"m", "quiddity", "entries": {"i,j": value}}``
+    as ``_dump`` writes it, in the order ``sort_keys`` gives it: a key "i,j"
+    sorts by str(i), then by str(j), as "," sorts below every digit.  Entry
+    (i, i+k) comes from the continuant recurrence in k."""
     m, q = f.m, f.quiddity
     order = sorted(range(m), key=str)
     tails = [f'{j}": ' for j in range(m)]

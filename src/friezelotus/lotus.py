@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .contfrac import MAX_VERTICES, Rational, stern_brocot_runs
 from .frieze import Point, _check_quiddity, _embed
-from .polygon import TriangulatedPolygon, _polygon, _run_tree, quiddity_of
+from .polygon import TriangulatedPolygon, _run_tree, quiddity_of
 
 E1: Point = (1, 0)
 E2: Point = (0, 1)
@@ -30,19 +30,11 @@ E2: Point = (0, 1)
 class Petal(namedtuple("Petal", "u v")):
     """Ordered positive basis (u, v) with det(u, v) = 1; apex is derived.
 
-    It hashes, compares and sorts as the pair (u, v).  ``Petal`` checks
-    the basis; code whose petals are valid by construction uses ``_petal``.
+    It hashes, compares and sorts as the pair (u, v).  A petal from outside
+    the package passes ``check_petal``.
     """
 
     __slots__ = ()
-
-    def __new__(cls, u: Point, v: Point):
-        self = _petal(u, v)
-        if min(*u, *v) < 0 or u == (0, 0) or v == (0, 0):
-            raise ValueError(f"petal basis must be nonzero and nonnegative: {self}")
-        if u[0] * v[1] - u[1] * v[0] != 1:
-            raise ValueError(f"petal basis must be unimodular and positive: {self}")
-        return self
 
     @property
     def apex(self) -> Point:
@@ -56,39 +48,21 @@ class Petal(namedtuple("Petal", "u v")):
             return None
         dx, dy = v[0] - u[0], v[1] - u[1]
         if dx >= 0 and dy >= 0:
-            return _petal(u, (dx, dy))
-        return _petal((-dx, -dy), v)
+            return Petal(u, (dx, dy))
+        return Petal((-dx, -dy), v)
 
 
-def _petal(u: Point, v: Point) -> Petal:
-    """A petal known to be valid, built without the checks."""
-    return tuple.__new__(Petal, (u, v))
+BASE_PETAL = Petal(E1, E2)
 
 
-BASE_PETAL = _petal(E1, E2)
-
-
-class Lotus(namedtuple("Lotus", "petals marks")):
+class Lotus(namedtuple("Lotus", "petals marks", defaults=(frozenset(),))):
     """Parent-closed petal set with marked points on the lateral boundary.
 
     The empty petal set models the degenerate lotus that is just the base
-    segment (arising from the slopes 0 and infinity alone).  ``Lotus(...)``
-    checks its input; this package's own functions use ``_lotus``.  It has
-    no ``__slots__``, so that its dict can keep its boundary and its index.
+    segment (arising from the slopes 0 and infinity alone).  A lotus from
+    outside the package passes ``check_lotus``.  It has no ``__slots__``,
+    so that its dict can keep its boundary and its index.
     """
-
-    def __new__(cls, petals: frozenset[Petal], marks: frozenset[Point] = frozenset()):
-        for p in petals:
-            parent = p.parent()
-            if parent is not None and parent not in petals:
-                raise ValueError(f"petal set is not parent-closed: {p} lacks {parent}")
-        self = _lotus(petals, marks)
-        if marks:
-            boundary = set(lateral_boundary(self))
-            for mk in marks:
-                if mk not in boundary:
-                    raise ValueError(f"mark {mk} is not on the lateral boundary")
-        return self
 
     @property
     def is_segment(self) -> bool:
@@ -127,7 +101,7 @@ class Lotus(namedtuple("Lotus", "petals marks")):
                 high[stack[-1]] = t
                 stack.append(t)
         high[0] = 0
-        petals = [None, *(_petal(chain[a], chain[b]) for a, b in zip(lo[1:n], hi[1:n])), None]
+        petals = [None, *(Petal(chain[a], chain[b]) for a, b in zip(lo[1:n], hi[1:n])), None]
         return _Index(petals, lo, hi, low, high)
 
 
@@ -137,9 +111,30 @@ class Lotus(namedtuple("Lotus", "petals marks")):
 _Index = namedtuple("_Index", "petals lo hi low high")
 
 
-def _lotus(petals: frozenset[Petal], marks: frozenset[Point] = frozenset()) -> Lotus:
-    """A lotus known to be valid, built without the checks."""
-    return tuple.__new__(Lotus, (petals, marks))
+def check_petal(u: Point, v: Point) -> Petal:
+    """The petal on (u, v), refusing a basis that is not positive and unimodular."""
+    p = Petal(u, v)
+    if min(*u, *v) < 0 or u == (0, 0) or v == (0, 0):
+        raise ValueError(f"petal basis must be nonzero and nonnegative: {p}")
+    if u[0] * v[1] - u[1] * v[0] != 1:
+        raise ValueError(f"petal basis must be unimodular and positive: {p}")
+    return p
+
+
+def check_lotus(petals: frozenset[Petal], marks: frozenset[Point]) -> Lotus:
+    """The lotus of petals that passed ``check_petal``, refusing a set that
+    is not parent-closed, then a mark off the lateral boundary."""
+    for p in petals:
+        parent = p.parent()
+        if parent is not None and parent not in petals:
+            raise ValueError(f"petal set is not parent-closed: {p} lacks {parent}")
+    l = Lotus(petals, marks)
+    if marks:
+        boundary = set(lateral_boundary(l))
+        for mk in marks:
+            if mk not in boundary:
+                raise ValueError(f"mark {mk} is not on the lateral boundary")
+    return l
 
 
 def lotus_of_slope(s: Rational) -> Lotus:
@@ -170,8 +165,8 @@ def lotus_of_slopes(slopes: Iterable[Rational]) -> Lotus:
     for t in order:
         u, v = chain[lo[t]], chain[hi[t]]
         chain[t] = (u[0] + v[0], u[1] + v[1])
-        petals[t] = _petal(u, v)
-    l = _lotus(frozenset(petals[1:-1]), frozenset(marks.union(chain[t] for t in tips)))
+        petals[t] = Petal(u, v)
+    l = Lotus(frozenset(petals[1:-1]), frozenset(marks.union(chain[t] for t in tips)))
     l._boundary, l._index = tuple(chain), _Index(petals, lo, hi, low, high)
     return l
 
@@ -230,8 +225,8 @@ def lotus_of_polygon(p: TriangulatedPolygon, k: int) -> Lotus:
     m, petals = len(verts), [BASE_PETAL]
     for i, j in p.diagonals:
         a, b = (i - k - 1) % m, (j - k - 1) % m
-        petals.append(_petal(verts[b], verts[a]) if a < b else _petal(verts[a], verts[b]))
-    return _lotus(frozenset(petals))
+        petals.append(Petal(verts[b], verts[a]) if a < b else Petal(verts[a], verts[b]))
+    return Lotus(frozenset(petals))
 
 
 def _polygon_boundary(l: Lotus) -> tuple[Point, ...]:
@@ -254,4 +249,4 @@ def polygon_of_lotus(l: Lotus) -> tuple[TriangulatedPolygon, tuple[Point, ...]]:
     m = len(chain)
     # vertex t is at position m - t; each petal but the base one is on a diagonal
     diagonals = frozenset((m - b, m - a) for a, b in zip(ix.lo[1:-1], ix.hi[1:-1]) if b - a < m - 1)
-    return _polygon(m, diagonals), chain[::-1]
+    return TriangulatedPolygon(m, diagonals), chain[::-1]

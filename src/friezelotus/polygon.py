@@ -17,40 +17,13 @@ Diagonal = tuple[int, int]
 
 
 class TriangulatedPolygon(namedtuple("TriangulatedPolygon", "m diagonals")):
-    """Triangulation of the m-gon by its inner diagonals.
+    """Triangulation of the m-gon by its m-3 noncrossing inner diagonals.
 
     The diagonals are the whole triangulation: every triangle, apex and
-    count is read off them.  Construction checks that they triangulate the
-    m-gon; this package's own builders use the unchecked ``_polygon``.
+    count is read off them.
     """
 
     __slots__ = ()
-
-    def __new__(cls, m: int, diagonals: frozenset[Diagonal]):
-        if m < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
-        if len(diagonals) != m - 3:
-            raise ValueError(f"a triangulated {m}-gon has {m - 3} diagonals, "
-                             f"got {len(diagonals)}")
-        for i, j in diagonals:
-            if not 1 <= i <= j - 2 <= m - 2 or (i, j) == (1, m):
-                raise ValueError(f"{(i, j)} is not an inner diagonal of the {m}-gon")
-        # m-3 pairwise noncrossing inner diagonals triangulate the m-gon.
-        # Swept by left end, longest first, the open chords nest, so a chord
-        # crosses one of them exactly when it ends beyond the innermost
-        opened: list[Diagonal] = []
-        for d in sorted(diagonals, key=lambda d: (d[0], -d[1])):
-            while opened and opened[-1][1] <= d[0]:
-                opened.pop()
-            if opened and d[1] > opened[-1][1]:
-                raise ValueError(f"diagonals {opened[-1]} and {d} cross; not a triangulation")
-            opened.append(d)
-        return _polygon(m, diagonals)
-
-
-def _polygon(m: int, diagonals: frozenset[Diagonal]) -> TriangulatedPolygon:
-    """A triangulation known to be valid, built without the checks."""
-    return tuple.__new__(TriangulatedPolygon, (m, diagonals))
 
 
 def quiddity_of(p: TriangulatedPolygon) -> tuple[int, ...]:
@@ -106,7 +79,7 @@ def polygon_from_quiddity(q: Sequence[int]) -> TriangulatedPolygon:
     # three are all 1 exactly when the total was 3(m - 2)
     if sum(q) != 3 * (m - 2):
         raise ValueError("not the quiddity of a triangulated polygon")
-    return _polygon(m, frozenset(diagonals))
+    return TriangulatedPolygon(m, frozenset(diagonals))
 
 
 def _run_tree(paths: Iterable[list[int]], ceiling: int) -> tuple[list[int], ...]:
@@ -178,4 +151,5 @@ def polygon_of_cf(terms: Sequence[int]) -> TriangulatedPolygon:
     # position t > 0 is label m + 1 - t.  A value > 1 steps up from the base
     # petal first, so the base petal is the one petal based at (1,0)
     m = len(lo)
-    return _polygon(m, frozenset((m + 1 - b, m + 1 - a) for a, b in zip(lo[1:-1], hi[1:-1]) if a))
+    return TriangulatedPolygon(
+        m, frozenset((m + 1 - b, m + 1 - a) for a, b in zip(lo[1:-1], hi[1:-1]) if a))

@@ -34,10 +34,6 @@ class Poly2:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Term, int]):
-        if any(c == 0 for c in terms.values()):
-            raise ValueError("zero coefficients must not be stored")
-        if any(i < 0 or j < 0 for i, j in terms):
-            raise ValueError("exponents must be nonnegative")
         self.terms = terms
 
     @property

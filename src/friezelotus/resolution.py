@@ -15,53 +15,25 @@ from math import comb, gcd
 
 from .contfrac import MAX_VERTICES, Rational
 from .frieze import MAX_FRIEZE_ENTRIES
-from .lotus import (Lotus, _lotus, lateral_boundary, lotus_of_slopes, petal_counts,
-                    pinching_points)
+from .lotus import Lotus, lateral_boundary, lotus_of_slopes, petal_counts, pinching_points
 from .polyparse import Poly2, Term, _edge_coefficients, compact_edges
 
 
-class ResolutionGraph(namedtuple("ResolutionGraph", "weights arrows")):
+class ResolutionGraph(namedtuple("ResolutionGraph", "weights arrows", defaults=(frozenset(),))):
     """Type-A chain of exceptional curves.
 
-    ``weights``: self-intersection numbers in lateral-boundary order from
-    (1,0) to (0,1); ``arrows``: 0-based positions carrying a strict-transform
-    arrowhead.
+    ``weights``: self-intersection numbers, all <= -1, in lateral-boundary
+    order from (1,0) to (0,1); ``arrows``: 0-based positions carrying a
+    strict-transform arrowhead.
     """
 
     __slots__ = ()
-
-    def __new__(cls, weights: tuple[int, ...], arrows: frozenset[int] = frozenset()):
-        if any(w > -1 for w in weights):
-            raise ValueError("all self-intersection weights must be <= -1")
-        if any(not 0 <= a < len(weights) for a in arrows):
-            raise ValueError("arrow positions must index the weight chain")
-        return super().__new__(cls, weights, arrows)
-
-
-def _graph(weights: tuple[int, ...], arrows: frozenset[int] = frozenset()) -> ResolutionGraph:
-    """A chain graph known to be valid, built without the checks."""
-    return tuple.__new__(ResolutionGraph, (weights, arrows))
 
 
 class PlaneCurve(namedtuple("PlaneCurve", "factors")):
     """Product of distinct-slope binomials x^d - y^c, gcd(d, c) = 1."""
 
     __slots__ = ()
-
-    def __new__(cls, factors: tuple[tuple[int, int], ...]):
-        for d, c in factors:
-            if d < 1 or c < 1 or gcd(d, c) != 1:
-                raise ValueError(f"factor exponents must be coprime positives, got {(d, c)}")
-        # coprime pairs are reduced slopes, so distinct slopes are distinct pairs
-        if len(set(factors)) != len(factors):
-            raise ValueError("factor slopes must be pairwise distinct")
-        return super().__new__(cls, factors)
-
-    def polynomial(self) -> Poly2:
-        prod = Poly2({(0, 0): 1})
-        for d, c in self.factors:
-            prod = prod * Poly2({(d, 0): 1, (0, c): -1})
-        return prod
 
     def __str__(self) -> str:
         def binom(d: int, c: int) -> str:
@@ -82,7 +54,7 @@ def graph_of_lotus(l: Lotus) -> ResolutionGraph:
     chain = lateral_boundary(l)
     weights = tuple(-c for c in petal_counts(chain))
     arrows = frozenset(t for t, pt in enumerate(chain[1:-1]) if pt in l.marks)
-    return _graph(weights, arrows)
+    return ResolutionGraph(weights, arrows)
 
 
 def curve_of_lotus(l: Lotus) -> PlaneCurve:
@@ -221,7 +193,7 @@ def partial_resolutions(l: Lotus) -> list[tuple[Lotus, ResolutionGraph]]:
     while work:
         stage, weights, frontier = work.pop()
         if stage:
-            out.append((_lotus(stage), _graph(weights[1:-1])))
+            out.append((Lotus(stage), ResolutionGraph(weights[1:-1])))
         for f, (r, t) in enumerate(frontier):
             k = len(weights) - r
             grown = weights[:k] + (weights[k] - 1, -1, weights[k + 1] - 1) + weights[k + 2:]

@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .frieze import Point
-from .lotus import Lotus, Petal, _lotus, _petal, _polygon_boundary, polygon_of_lotus
-from .polygon import Diagonal, TriangulatedPolygon, _polygon, quiddity_of
+from .lotus import Lotus, Petal, _polygon_boundary, polygon_of_lotus
+from .polygon import Diagonal, TriangulatedPolygon, quiddity_of
 
 
 class ReductionResult(namedtuple("ReductionResult", "polygon quiddity dropped")):
@@ -68,9 +68,9 @@ def _cut(p: TriangulatedPolygon, q: tuple[int, ...], d: Diagonal) -> ReductionRe
         else:
             outer.add((a - shift if a > i else a, b - shift if b > i else b))
     inner.discard((1, j - i + 1))
-    return ReductionResult(_polygon(p.m - shift, frozenset(outer)),
+    return ReductionResult(TriangulatedPolygon(p.m - shift, frozenset(outer)),
                            q[:i - 1] + (q[i - 1] - ti, q[j - 1] - tj) + q[j:],
-                           _polygon(j - i + 1, frozenset(inner)))
+                           TriangulatedPolygon(j - i + 1, frozenset(inner)))
 
 
 def reduction_chain(l: Lotus) -> list[ReductionResult]:
@@ -107,7 +107,7 @@ def _moved(l: Lotus, x: int, y: int, u1: Point, v1: Point) -> list[Petal]:
     # the map is [u1 v1] [u0 v0]^-1, and det(u0, v0) = 1
     m00, m01, m10, m11 = e * d - g * b, g * a - e * c, f * d - h * b, h * a - f * c
     image = [(m00 * p + m01 * r, m10 * p + m11 * r) for p, r in chain[x:y + 1]]
-    return [_petal(image[s - x], image[t - x]) for s, t in zip(lo[x + 1:y], hi[x + 1:y])]
+    return [Petal(image[s - x], image[t - x]) for s, t in zip(lo[x + 1:y], hi[x + 1:y])]
 
 
 def mutate_lotus(l: Lotus, d: Diagonal) -> Lotus:
@@ -126,14 +126,14 @@ def mutate_lotus(l: Lotus, d: Diagonal) -> Lotus:
     (a, b), c = petals[s], chain[s]
     if hi[t] == s:  # p is q's low child (a, c); its place goes to (c, b)
         f = (c[0] + b[0], c[1] + b[1])
-        far, born = [(lo[t], t, a, c), (t, s, c, f), (s, hi[s], f, b)], [_petal(c, b)]
+        far, born = [(lo[t], t, a, c), (t, s, c, f), (s, hi[s], f, b)], [Petal(c, b)]
     else:  # p is q's high child (c, b); its place goes to (a, c)
         f = (a[0] + c[0], a[1] + c[1])
-        far, born = [(lo[s], s, a, f), (s, t, f, c), (t, hi[t], c, b)], [_petal(a, c)]
+        far, born = [(lo[s], s, a, f), (s, t, f, c), (t, hi[t], c, b)], [Petal(a, c)]
     for x, y, u1, v1 in far:
         if y - x > 1:
             born += _moved(l, x, y, u1, v1)
-    return _lotus(l.petals.difference(petals[lo[s] + 1:s], petals[s + 1:hi[s]]).union(born))
+    return Lotus(l.petals.difference(petals[lo[s] + 1:s], petals[s + 1:hi[s]]).union(born))
 
 
 def quad_type(l: Lotus, d: Diagonal) -> int:

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from friezelotus.lotus import Petal
+from friezelotus.lotus import Petal, check_petal
 from friezelotus.polygon import TriangulatedPolygon
+from friezelotus.polyparse import Poly2
 
 
 def tridiagonal_determinant(diag: list[int]) -> int:
@@ -81,7 +82,7 @@ def random_triangulation(m: int, rng: random.Random) -> TriangulatedPolygon:
         split(k, hi)
 
     split(1, m)
-    return TriangulatedPolygon(m, frozenset(diagonals))
+    return check_triangulation(m, frozenset(diagonals))
 
 
 def enumerate_triangulations(m: int) -> list[TriangulatedPolygon]:
@@ -98,11 +99,35 @@ def enumerate_triangulations(m: int) -> list[TriangulatedPolygon]:
                 for right in splits(k, hi):
                     yield left | right | own
 
-    return [TriangulatedPolygon(m, ds) for ds in splits(1, m)]
+    return [check_triangulation(m, ds) for ds in splits(1, m)]
+
+
+def check_triangulation(m: int, diagonals: frozenset) -> TriangulatedPolygon:
+    """The triangulation oracle: ``TriangulatedPolygon(m, diagonals)``,
+    refusing unless the diagonals are m-3 pairwise noncrossing inner
+    diagonals of the m-gon, which is exactly when they triangulate it."""
+    if m < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    if len(diagonals) != m - 3:
+        raise ValueError(f"a triangulated {m}-gon has {m - 3} diagonals, "
+                         f"got {len(diagonals)}")
+    for i, j in diagonals:
+        if not 1 <= i <= j - 2 <= m - 2 or (i, j) == (1, m):
+            raise ValueError(f"{(i, j)} is not an inner diagonal of the {m}-gon")
+    # swept by left end, longest first, the open chords nest, so a chord
+    # crosses one of them exactly when it ends beyond the innermost
+    opened = []
+    for d in sorted(diagonals, key=lambda d: (d[0], -d[1])):
+        while opened and opened[-1][1] <= d[0]:
+            opened.pop()
+        if opened and d[1] > opened[-1][1]:
+            raise ValueError(f"diagonals {opened[-1]} and {d} cross; not a triangulation")
+        opened.append(d)
+    return TriangulatedPolygon(m, diagonals)
 
 
 def make_polygon(m: int, diagonals) -> TriangulatedPolygon:
-    return TriangulatedPolygon(m, frozenset(tuple(sorted(d)) for d in diagonals))
+    return check_triangulation(m, frozenset(tuple(sorted(d)) for d in diagonals))
 
 
 def diagonals_cross(d1, d2, m: int) -> bool:
@@ -122,7 +147,7 @@ def subpolygon(t: TriangulatedPolygon, labels: list[int], cut) -> TriangulatedPo
     relabel = {old: k + 1 for k, old in enumerate(labels)}
     diagonals = {(relabel[a], relabel[b]) for a, b in t.diagonals
                  if (a, b) != cut and a in relabel and b in relabel}
-    return TriangulatedPolygon(len(labels), frozenset(diagonals))
+    return check_triangulation(len(labels), frozenset(diagonals))
 
 
 def triangles_of(t: TriangulatedPolygon) -> tuple[tuple[int, int, int], ...]:
@@ -164,14 +189,14 @@ def incidence_counts(l) -> dict:
 def petal_of_triangle(pts) -> Petal:
     """Petal with the given three lattice points, found geometrically: the
     apex is the point that is the sum of the other two, and the base pair
-    is ordered to make det = +1.  The checked ``Petal`` constructor
-    rejects anything that is not a petal."""
+    is ordered to make det = +1.  The gate ``check_petal`` rejects anything
+    that is not a petal."""
     for apex_idx in range(3):
         a, b = [pts[t] for t in range(3) if t != apex_idx]
         if (a[0] + b[0], a[1] + b[1]) == pts[apex_idx]:
             if a[0] * b[1] - a[1] * b[0] == 1:
-                return Petal(a, b)
-            return Petal(b, a)
+                return check_petal(a, b)
+            return check_petal(b, a)
     raise ValueError(f"triangle {list(pts)} is not a petal")
 
 
@@ -232,9 +257,9 @@ def flip_quadrilateral(p: TriangulatedPolygon, d) -> tuple[int, int, int, int]:
 
 def flip(p: TriangulatedPolygon, d) -> TriangulatedPolygon:
     """Replace diagonal d by the opposite diagonal of its quadrilateral,
-    through the checked public constructor."""
+    through the triangulation oracle."""
     i, j, k, l = flip_quadrilateral(p, d)
-    return TriangulatedPolygon(p.m, (p.diagonals - {(i, j)}) | {(k, l)})
+    return check_triangulation(p.m, (p.diagonals - {(i, j)}) | {(k, l)})
 
 
 def mutate_by_reembedding(l, d):
@@ -242,3 +267,11 @@ def mutate_by_reembedding(l, d):
     flipped triangulation afresh with vertex 1 at (0,1)."""
     from friezelotus.lotus import lotus_of_polygon, polygon_of_lotus
     return lotus_of_polygon(flip(polygon_of_lotus(l)[0], d), 0)
+
+
+def curve_polynomial(curve) -> Poly2:
+    """The product of the binomials x^d - y^c of a ``PlaneCurve``."""
+    prod = Poly2({(0, 0): 1})
+    for d, c in curve.factors:
+        prod = prod * Poly2({(d, 0): 1, (0, c): -1})
+    return prod

@@ -11,8 +11,8 @@ import time
 from friezelotus.cli import run
 from friezelotus.contfrac import Rational, hj_expand
 from friezelotus.frieze import frieze_from_quiddity
-from friezelotus.lotus import (Lotus, Petal, embed_polygon, lotus_of_polygon, lotus_of_slope,
-                               pinching_points, polygon_of_lotus)
+from friezelotus.lotus import (Lotus, check_petal, embed_polygon, lotus_of_polygon,
+                               lotus_of_slope, pinching_points, polygon_of_lotus)
 from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import (PlaneCurve, catalan, count_resolution_graphs,
@@ -20,7 +20,8 @@ from friezelotus.resolution import (PlaneCurve, catalan, count_resolution_graphs
                                     lotus_of_poly)
 from friezelotus.transform import mutate_lotus, reduce
 
-from conftest import enumerate_triangulations, flip, flip_quadrilateral, random_triangulation
+from conftest import (curve_polynomial, enumerate_triangulations, flip, flip_quadrilateral,
+                      random_triangulation)
 
 
 def criterion(num: int, label: str):
@@ -185,7 +186,7 @@ def test_criterion_8_property_suites():
                     assert verts[step - 1] == (f.entry(k, k + step - 1),
                                                f.entry(k - 1, k + step - 1))
             for p in lotus_of_polygon(t, 0).petals:
-                assert Petal(p.u, p.v) == p  # the builder skips the checks
+                assert check_petal(p.u, p.v) == p  # the builder checks nothing
             for diag in sorted(t.diagonals):
                 r = reduce(t, diag)
                 assert r.quiddity == quiddity_of(r.polygon)
@@ -220,7 +221,7 @@ def test_criterion_9_nondegeneracy():
     assert is_newton_nondegenerate(parse_poly("x^3 - y^2"))
     for factors in (((3, 2),), ((2, 1), (1, 2)), ((11, 8),),
                     ((5, 2), (3, 1), (1, 1)), ((7, 3), (2, 1))):
-        assert is_newton_nondegenerate(PlaneCurve(factors).polynomial())
+        assert is_newton_nondegenerate(curve_polynomial(PlaneCurve(factors)))
     f = parse_poly("(y^2 - x^3)")
     quintic = f * f * f * f * f - parse_poly("x^14 y")
     assert not is_newton_nondegenerate(quintic)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from friezelotus.cli import _dump, frieze_to_json, lotus_to_json, run
+from friezelotus.cli import _dump, lotus_to_json, run
 from friezelotus.contfrac import MAX_VERTICES, Rational, hj_expand
 from friezelotus.frieze import MAX_FRIEZE_ENTRIES, Frieze, _check_quiddity, frieze_from_quiddity
 from friezelotus.lotus import lotus_of_slope, lotus_of_slopes, polygon_of_lotus
@@ -20,6 +20,12 @@ from friezelotus.render import MAX_GRID_LINES, render_frieze_text
 
 from conftest import (enumerate_triangulations, fan_quiddity, frieze_by_rows, outcome,
                       random_triangulation)
+
+
+def frieze_to_json(f) -> dict:
+    """The document that ``frieze --json`` writes, as a dict."""
+    return {"m": f.m, "quiddity": list(f.quiddity),
+            "entries": {f"{i},{j}": v for (i, j), v in f.entries.items()}}
 
 
 def test_hj_running():

@@ -6,9 +6,10 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from friezelotus.contfrac import Rational, hj_expand, kidoh_dual
-from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal, _lotus,
+from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal, check_lotus, check_petal,
                                embed_polygon,
                                lateral_boundary, lotus_of_polygon,
                                lotus_of_slope, lotus_of_slopes,
@@ -16,12 +17,12 @@ from friezelotus.lotus import (BASE_PETAL, E1, E2, Lotus, Petal, _lotus,
 from friezelotus.frieze import frieze_from_quiddity
 from friezelotus.polygon import quiddity_of
 
-from conftest import (coprime_pairs, enumerate_triangulations, outcome, petal_of_triangle,
-                      random_triangulation, triangles_of)
+from conftest import (coprime_pairs, enumerate_triangulations, incidence_counts, outcome,
+                      petal_of_triangle, random_triangulation, triangles_of)
 
 
 def petal(u, v):
-    return Petal(tuple(u), tuple(v))
+    return check_petal(tuple(u), tuple(v))
 
 
 LOTUS_11_8_PETALS = frozenset({
@@ -36,13 +37,13 @@ LOTUS_11_8_PETALS = frozenset({
 
 def test_petal_validation():
     with pytest.raises(ValueError):
-        Petal((0, 1), (1, 0))  # det = -1
+        check_petal((0, 1), (1, 0))  # det = -1
     with pytest.raises(ValueError):
-        Petal((2, 0), (1, 1))  # det = 2
+        check_petal((2, 0), (1, 1))  # det = 2
     with pytest.raises(ValueError):
-        Petal((0, 0), (0, 1))
-    Petal((1, 1), (1, 2))
-    Petal((2, 1), (1, 1))
+        check_petal((0, 0), (0, 1))
+    assert check_petal((1, 1), (1, 2)) == Petal((1, 1), (1, 2))
+    assert check_petal((2, 1), (1, 1)) == Petal((2, 1), (1, 1))
 
 
 def test_petal_parent_chain():
@@ -56,7 +57,7 @@ def test_petal_parent_chain():
 
 def test_lotus_requires_parent_closure():
     with pytest.raises(ValueError):
-        Lotus(frozenset({BASE_PETAL, petal((1, 1), (1, 2))}))
+        check_lotus(frozenset({BASE_PETAL, petal((1, 1), (1, 2))}), frozenset())
 
 
 def test_petal_sets_without_the_base_fail_parent_closure():
@@ -71,7 +72,7 @@ def test_petal_sets_without_the_base_fail_parent_closure():
             continue
         for petals in (rest, rng.sample(rest, rng.randint(1, len(rest)))):
             with pytest.raises(ValueError, match="^petal set is not parent-closed: "):
-                Lotus(frozenset(petals))
+                check_lotus(frozenset(petals), frozenset())
 
 
 def test_lotus_of_slope_3_2():
@@ -241,16 +242,16 @@ def test_embedding_roundtrip_all_small_triangulations():
 
 def test_every_anchor_embeds_as_a_lotus():
     # each anchor produces a parent-closed set of m-2 valid petals
-    # (lotus_of_polygon skips the checks, so the public constructors
-    # re-check every petal and the closure here)
+    # (lotus_of_polygon checks nothing, so the gates check every petal
+    # and the closure here)
     for m in range(3, 8):
         for t in enumerate_triangulations(m):
             for k in range(m):
                 l = lotus_of_polygon(t, k)
                 assert len(l.petals) == m - 2
                 for p in l.petals:
-                    assert Petal(p.u, p.v) == p
-                assert Lotus(l.petals) == l
+                    assert check_petal(p.u, p.v) == p
+                assert check_lotus(l.petals, l.marks) == l
 
 
 def petals_by_lattice_search(t, verts, k):
@@ -274,7 +275,7 @@ def test_label_rule_matches_the_lattice_search():
 
 def test_marks_must_lie_on_boundary():
     with pytest.raises(ValueError):
-        Lotus(frozenset({BASE_PETAL}), frozenset({(5, 5)}))
+        check_lotus(frozenset({BASE_PETAL}), frozenset({(5, 5)}))
 
 
 def test_the_boundary_is_walked_once_and_kept():
@@ -282,7 +283,7 @@ def test_the_boundary_is_walked_once_and_kept():
     boundary = lateral_boundary(l)
     assert lateral_boundary(l) is boundary
     # the kept boundary is invisible to equality, hashing, repr and copies
-    fresh = _lotus(l.petals, l.marks)
+    fresh = Lotus(l.petals, l.marks)
     assert l == fresh and hash(l) == hash(fresh) and repr(l) == repr(fresh)
     for twin in (copy.copy(l), pickle.loads(pickle.dumps(l))):
         assert twin == l and type(twin) is Lotus and lateral_boundary(twin) == boundary
@@ -290,7 +291,7 @@ def test_the_boundary_is_walked_once_and_kept():
     smaller = l._replace(petals=lotus_of_slope(Rational(11, 8)).petals, marks=frozenset())
     assert lateral_boundary(smaller) == lateral_boundary(lotus_of_slope(Rational(11, 8)))
     with pytest.raises(ValueError, match=r"^mark \(5, 5\) is not on the lateral boundary$"):
-        Lotus(l.petals, frozenset({(5, 5)}))
+        check_lotus(l.petals, frozenset({(5, 5)}))
 
 
 def descent(n, q):
@@ -337,12 +338,37 @@ def test_petals_behave_as_their_pairs():
 
 
 def test_unchecked_constructions_give_valid_lotuses():
-    # the public constructors re-check what the package's own functions skip
+    # the gates check what the package's own functions make
     for n, q in coprime_pairs(20):
         l = lotus_of_slope(Rational(n, q))
-        assert Lotus(l.petals, l.marks) == l
+        assert check_lotus(l.petals, l.marks) == l
         for p in l.petals:
-            assert Petal(p.u, p.v) == p
+            assert check_petal(p.u, p.v) == p
+
+
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=4),
+       st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_the_gate_refuses_exactly_open_sets_and_marks_off_the_boundary(slopes, drop, move, rng):
+    # dropping a petal opens the set exactly when one of its children stays,
+    # and the lateral boundary of a closed set is the points of its petals
+    l = lotus_of_slopes([Rational(n, q) for n, q in slopes])
+    petals, marks, orphans = set(l.petals), sorted(l.marks), set()
+    if drop and len(petals) > 1:
+        x = rng.choice(sorted(petals - {BASE_PETAL}))
+        petals.remove(x)
+        orphans = {Petal(x.u, x.apex), Petal(x.apex, x.v)} & petals
+    if move:
+        marks[rng.randrange(len(marks))] = (rng.randint(0, 12), rng.randint(0, 12))
+    petals, marks = frozenset(petals), frozenset(marks)
+    off = [mk for mk in marks if mk not in incidence_counts(Lotus(petals))]
+    if orphans:
+        orphan = next(p for p in petals if p in orphans)  # the first in the set's own order
+        want = f"petal set is not parent-closed: {orphan} lacks {x}"
+    elif off:
+        want = f"mark {off[0]} is not on the lateral boundary"
+    else:
+        want = Lotus(petals, marks)
+    assert outcome(lambda _: check_lotus(petals, marks), None) == want
 
 
 def test_union_of_slopes_is_held_to_the_ceiling(monkeypatch):

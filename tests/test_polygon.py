@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 from friezelotus.contfrac import Rational, hj_evaluate, hj_expand, kidoh_dual
 from friezelotus.lotus import lotus_of_polygon, lotus_of_slopes, polygon_of_lotus
-from friezelotus.polygon import (TriangulatedPolygon, polygon_from_quiddity, polygon_of_cf,
-                                 quiddity_of)
+from friezelotus.polygon import polygon_from_quiddity, polygon_of_cf, quiddity_of
 from friezelotus.transform import reduce
 
-from conftest import (catalan_by_recurrence, diagonals_cross, enumerate_triangulations, flip,
-                      make_polygon, outcome, quiddities, random_triangulation, triangles_of)
+from conftest import (catalan_by_recurrence, check_triangulation, diagonals_cross,
+                      enumerate_triangulations, flip, make_polygon, outcome, quiddities,
+                      random_triangulation, triangles_of)
 
 
 def test_validation_rejects_bad_polygons():
     with pytest.raises(ValueError, match="^a polygon needs at least 3 vertices$"):
-        TriangulatedPolygon(2, frozenset())
+        check_triangulation(2, frozenset())
     with pytest.raises(ValueError):
         make_polygon(5, [(1, 2), (1, 3)])  # (1,2) is an edge
     with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ def assert_sweep_matches_pairwise_crossing(m, diagonals):
     # reference walk then cuts into m-2 triangles, and names a crossing pair
     crossing = {f"diagonals {a} and {b} cross; not a triangulation"
                 for a in diagonals for b in diagonals if diagonals_cross(a, b, m)}
-    result = outcome(lambda ds: TriangulatedPolygon(m, ds), diagonals)
+    result = outcome(lambda ds: check_triangulation(m, ds), diagonals)
     if crossing:
         assert result in crossing
     else:
@@ -264,7 +264,7 @@ def smallest_label_ear_cut(q):
         nxt[a], prv[b] = b, a
     if any(v != 1 for v in values.values()):
         raise ValueError("not the quiddity of a triangulated polygon")
-    return TriangulatedPolygon(m, frozenset(diagonals))
+    return check_triangulation(m, frozenset(diagonals))
 
 
 def assert_same_as_smallest_label_ear_cut(q):
@@ -316,7 +316,7 @@ def test_ear_cut_is_linear_on_every_input():
 
 @given(st.integers(3, 40), st.randoms(use_true_random=False))
 def test_unchecked_constructions_give_valid_triangulations(m, rng):
-    # the public constructor re-checks what the package's own builders skip
+    # the triangulation oracle checks what the package's own builders make
     t = random_triangulation(m, rng)
     slopes = [Rational(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
     built = [polygon_from_quiddity(quiddity_of(t)), polygon_of_lotus(lotus_of_polygon(t, 0))[0],
@@ -324,7 +324,7 @@ def test_unchecked_constructions_give_valid_triangulations(m, rng):
     for d in t.diagonals:
         built += reduce(t, d)[::2]
     for p in built:
-        assert TriangulatedPolygon(p.m, p.diagonals) == p
+        assert check_triangulation(p.m, p.diagonals) == p
 
 
 def cf_by_ear_cut(terms):

@@ -21,8 +21,8 @@ from friezelotus.resolution import (PlaneCurve, ResolutionGraph, _squarefree, ca
                                     lotus_of_poly, newton_fan,
                                     partial_resolutions)
 
-from conftest import (catalan_by_recurrence, coprime_pairs, enumerate_triangulations,
-                      incidence_counts)
+from conftest import (catalan_by_recurrence, coprime_pairs, curve_polynomial,
+                      enumerate_triangulations, incidence_counts)
 
 
 def random_products(count: int, most: int, seed: int) -> list[Lotus]:
@@ -66,13 +66,6 @@ def test_graph_rejects_segment():
         graph_of_lotus(lotus_of_slope(Rational(0)))
 
 
-def test_graph_validation():
-    with pytest.raises(ValueError):
-        ResolutionGraph((0, -2))
-    with pytest.raises(ValueError):
-        ResolutionGraph((-1, -2), frozenset({5}))
-
-
 def test_curve_of_lotus_examples():
     assert curve_of_lotus(lotus_of_slope(Rational(3, 2))).factors == ((3, 2),)
     assert curve_of_lotus(lotus_of_slope(Rational(11, 8))).factors == ((11, 8),)
@@ -84,21 +77,14 @@ def test_curve_of_the_segment_is_the_empty_product():
     # no Newton edge, so its lotus is the unmarked segment
     segment = Lotus(frozenset())
     assert curve_of_lotus(segment) == PlaneCurve(())
-    assert lotus_of_poly(PlaneCurve(()).polynomial()) == segment
+    assert lotus_of_poly(curve_polynomial(PlaneCurve(()))) == segment
     with pytest.raises(ValueError, match="^the zero polynomial has no lotus$"):
         lotus_of_poly(parse_poly("0"))
     assert lotus_of_poly(parse_poly("x - y")) == Lotus(frozenset({BASE_PETAL}),
                                                        frozenset({(1, 1)}))
 
 
-def test_plane_curve_validation_and_str():
-    with pytest.raises(ValueError) as refusal:
-        PlaneCurve(((2, 4),))
-    assert str(refusal.value) == "factor exponents must be coprime positives, got (2, 4)"
-    with pytest.raises(ValueError, match="^factor exponents must be coprime"):
-        PlaneCurve(((2, 1), (4, 2)))  # the same slope, but not coprime
-    with pytest.raises(ValueError, match="^factor slopes must be pairwise distinct$"):
-        PlaneCurve(((2, 1), (1, 2), (2, 1)))
+def test_plane_curve_str():
     assert str(PlaneCurve(((3, 2),))) == "x^3 - y^2"
     assert str(PlaneCurve(((2, 1), (1, 2)))) == "(x^2 - y)(x - y^2)"
 
@@ -131,7 +117,7 @@ def test_nondegeneracy_examples():
 
 def test_binomial_products_are_nondegenerate():
     for factors in (((3, 2),), ((2, 1), (1, 2)), ((5, 2), (3, 1), (1, 1))):
-        assert is_newton_nondegenerate(PlaneCurve(factors).polynomial())
+        assert is_newton_nondegenerate(curve_polynomial(PlaneCurve(factors)))
 
 
 def test_degenerate_square_factor():
@@ -161,7 +147,7 @@ def test_nondegeneracy_builds_the_hull_once(monkeypatch):
 
     monkeypatch.setattr(resolution_module, "compact_edges", counted)
     monkeypatch.setattr(polyparse_module, "compact_edges", counted)
-    f = PlaneCurve(((5, 2), (3, 1), (1, 1))).polynomial()
+    f = curve_polynomial(PlaneCurve(((5, 2), (3, 1), (1, 1))))
     assert is_newton_nondegenerate(f)
     assert len(calls) == 1 and len(compact_edges(f.support())) == 3
 
@@ -282,7 +268,7 @@ def test_roundtrip_curve_fan_lotus():
     for n, q in coprime_pairs(30):
         l = lotus_of_slope(Rational(n, q))
         curve = curve_of_lotus(l)
-        slopes = newton_fan(curve.polynomial().support())
+        slopes = newton_fan(curve_polynomial(curve).support())
         assert lotus_of_slopes(slopes).petals == l.petals
 
 
@@ -378,14 +364,13 @@ def test_partials_match_the_parent_map_enumeration():
 
 
 def test_partials_grow_weights_by_blowing_up(monkeypatch):
-    # no stage reads its weights off its boundary or re-checks them
+    # no stage reads its weights off its boundary
     def refused(*args):
         raise AssertionError("partial_resolutions re-derived a stage")
 
     product = lotus_of_slopes([Rational(11, 8), Rational(2, 5), Rational(7, 3)])
     stages = len(partials_by_parent_map(product))
     monkeypatch.setattr(resolution_module, "petal_counts", refused)
-    monkeypatch.setattr(ResolutionGraph, "__new__", refused)
     assert len(partial_resolutions(lotus_of_slope(Rational(1001, 1000)))) == 1001
     assert len(partial_resolutions(product)) == stages == 84
 

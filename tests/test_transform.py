@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from friezelotus.contfrac import Rational
 from friezelotus.frieze import frieze_from_quiddity
-from friezelotus.lotus import (Lotus, Petal, _lotus, lateral_boundary, lotus_of_polygon,
-                               lotus_of_slope, lotus_of_slopes, polygon_of_lotus)
+from friezelotus.lotus import (Lotus, check_lotus, check_petal, lateral_boundary,
+                               lotus_of_polygon, lotus_of_slope, lotus_of_slopes, polygon_of_lotus)
 from friezelotus.polygon import quiddity_of
 from friezelotus.polyparse import parse_poly
 from friezelotus.resolution import (curve_of_lotus, graph_of_lotus, lotus_of_poly,
@@ -227,12 +227,12 @@ def test_mutation_quiddity_changes_by_one():
 
 def assert_mutations_match_the_oracle(l, diagonals):
     # the local rewrite against flipping the lotus polygon and embedding it
-    # afresh; the result also passes the checked public constructors
+    # afresh; the result also passes the gates of a lotus from outside
     for d in diagonals:
         mutated = mutate_lotus(l, d)
         assert mutated == mutate_by_reembedding(l, d)
-        assert Lotus(mutated.petals) == mutated
-        assert all(Petal(p.u, p.v) == p for p in mutated.petals)
+        assert check_lotus(mutated.petals, mutated.marks) == mutated
+        assert all(check_petal(p.u, p.v) == p for p in mutated.petals)
 
 
 def test_mutation_matches_the_oracle_exhaustive():
@@ -280,7 +280,7 @@ def test_mutation_reads_the_kept_boundary_as_a_fresh_walk():
               for _ in range(8)]
     for slopes in cases:
         l = lotus_of_slopes(slopes)
-        fresh = _lotus(l.petals, l.marks)
+        fresh = Lotus(l.petals, l.marks)
         m = len(lateral_boundary(l))
         for chord in ((i, j) for i in range(m + 2) for j in range(i, m + 2)):
             assert (outcome(lambda c: mutate_lotus(l, c), chord)
@@ -445,7 +445,7 @@ def test_a_chord_is_read_without_reversing_the_boundary():
     diagonals = sorted(t.diagonals)
     expected = [(quad_type_by_lattice(l, d), mutate_by_reembedding(l, d),
                  base_side_petals_by_regions(l, d)) for d in diagonals]
-    guarded = _lotus(l.petals)
+    guarded = Lotus(l.petals)
     guarded._boundary = UnreversedBoundary(lateral_boundary(guarded))
     for d, (kind, mutated, base_side) in zip(diagonals, expected):
         assert quad_type(guarded, d) == kind
